@@ -104,9 +104,15 @@ replica-selftest:
 # Replication execution-model self-test: 30 seeded chaos runs under
 # -ft-model=replicate, rotating kills over primaries, shadows, and both
 # members of one pair (forcing the checkpoint fallback); every run must
-# finish with output bytes identical to the failure-free baseline.
-ftmodel-selftest:
+# finish with output bytes identical to the failure-free baseline. Then a
+# deterministic 8-rank replicate run with a reduce-phase kill must render a
+# critical-path report byte-identical to the committed golden (regenerated
+# by pointing -critpath-out at the committed path).
+ftmodel-selftest: build-cmds
 	$(GO) test ./internal/failure -run '^TestFTModelChaosMatchesBaseline$$' -v
+	bin/ftmr-sim -workload wordcount -procs 8 -ft-model replicate -kill-phase reduce \
+		-critpath-out /tmp/ftmr-ftmodel-critpath.txt >/dev/null
+	cmp /tmp/ftmr-ftmodel-critpath.txt internal/trace/critpath/testdata/golden_replicate_report.txt
 
 # Introspection-plane self-test through the real binaries: the committed
 # crossed-recv deadlock fixture must make `ftmr-trace inspect` exit 1 (and

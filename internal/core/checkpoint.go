@@ -423,11 +423,10 @@ const (
 // the lost tail's work is redone by the caller — unless a replica holds the
 // frames, in which case the chain never reaches the damaged copy.
 func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
-	// Whatever this call adds to the load-checkpoint bucket — staging reads,
-	// retries, per-frame replay charges — is attributed as one stage event,
-	// keeping event sums equal to the hand-kept counter.
-	pre := r.m.Recovery.LoadCkpt
-	defer func() { r.rec.RecoveryStage("load", r.m.Recovery.LoadCkpt-pre) }()
+	// Whatever this call spends — staging reads, retries, per-frame replay
+	// charges — is added to the load-checkpoint bucket as one stage.
+	var d time.Duration
+	defer func() { addRecoveryStage(r.m, r.rec, "load", d) }()
 	if frames := r.loadReplica(stream); frames != nil {
 		return frames
 	}
@@ -438,13 +437,13 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 	var raw []byte
 	if r.prefetch && r.local != nil {
 		if !r.staged[stream] {
-			data, ok := readRetry(p, r.pfs, path, &r.m.Recovery.LoadCkpt)
-			if !ok {
+			data, err := readRetry(p, r.pfs, path, &d)
+			if err != nil {
 				return nil
 			}
 			for attempt := 0; ; attempt++ {
-				d, werr := r.local.WriteFile(p, "stage/"+path, data)
-				r.m.Recovery.LoadCkpt += d
+				wd, werr := r.local.WriteFile(p, "stage/"+path, data)
+				d += wd
 				if werr == nil || attempt >= 2 {
 					break
 				}
@@ -457,8 +456,8 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 			}
 			r.staged[stream] = true
 		}
-		data, ok := readRetry(p, r.local, "stage/"+path, &r.m.Recovery.LoadCkpt)
-		if !ok {
+		data, err := readRetry(p, r.local, "stage/"+path, &d)
+		if err != nil {
 			return nil
 		}
 		raw = data
@@ -492,7 +491,7 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 	}
 	if !r.prefetch || r.local == nil {
 		// Direct PFS replay: charge one operation per frame.
-		r.m.Recovery.LoadCkpt += r.pfs.Charge(p, len(frames), consumed)
+		d += r.pfs.Charge(p, len(frames), consumed)
 	}
 	r.accountLoad(stream, srcPFS, raw[:consumed], frames)
 	return frames
@@ -547,12 +546,12 @@ func (r *ckptReader) accountLoad(stream, source string, valid []byte, frames []f
 // readRetry reads path from t, retrying transient read faults a bounded
 // number of times and accumulating the I/O wait into acc. A whole-tier
 // outage is waited out without consuming the retry budget.
-func readRetry(p *vtime.Proc, t *storage.Tier, path string, acc *time.Duration) ([]byte, bool) {
+func readRetry(p *vtime.Proc, t *storage.Tier, path string, acc *time.Duration) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
 		data, d, err := t.ReadFile(p, path)
 		*acc += d
 		if err == nil {
-			return data, true
+			return data, nil
 		}
 		if errors.Is(err, storage.ErrTierOutage) {
 			t.AwaitOnline(p)
@@ -560,7 +559,7 @@ func readRetry(p *vtime.Proc, t *storage.Tier, path string, acc *time.Duration) 
 			continue
 		}
 		if !errors.Is(err, storage.ErrReadFault) || attempt >= 2 {
-			return nil, false
+			return nil, err
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/introspect"
@@ -72,8 +73,9 @@ type runner struct {
 	ip   *introspect.RankProbe // nil when introspection is disabled; same one-branch discipline
 
 	world0    []int // world ranks participating at job start
+	home      []int // hash slot -> world rank (world0, or the initial acting primaries)
 	tt        *taskTable
-	nParts    int   // partition count (== len(world0))
+	nParts    int   // partition count (== len(home))
 	partOwner []int // partition -> world rank
 
 	mapOut     map[int]*kvbuf.KV  // partition -> this rank's map output
@@ -125,8 +127,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		cm:         cm,
 		ip:         c.Self().Probe(),
 		world0:     world0,
-		nParts:     c.Size(),
-		partOwner:  append([]int(nil), world0...),
+		home:       world0,
 		mapOut:     make(map[int]*kvbuf.KV),
 		parts:      make(map[int]*kvbuf.KV),
 		kmv:        make(map[int]*kvbuf.KMV),
@@ -138,14 +139,15 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		// Replication execution model: only the primary slots partition the
 		// key space; shadows mirror a slot and own nothing.
 		r.ftm = ftm
-		r.nParts = len(ftm.acting)
-		r.partOwner = append([]int(nil), ftm.acting...)
+		r.home = append([]int(nil), ftm.acting...)
 	}
+	r.nParts = len(r.home)
+	r.partOwner = append([]int(nil), r.home...)
 	r.lb.kind = spec.LBModel
 	clus := j.clus
 	local := clus.LocalOf(c.Self().WorldRank())
 	r.ck = &ckptWriter{
-		enabled: spec.Model.Checkpointing() && (r.ftm == nil || !r.ftm.mirror),
+		enabled: spec.Model.Checkpointing() && !r.mirroring(),
 		jobID:   spec.JobID,
 		loc:     spec.CkptLocation,
 		local:   local,
@@ -210,6 +212,36 @@ func (r *runner) net(fn func() error) error {
 // myWorld returns this rank's world rank.
 func (r *runner) myWorld() int { return r.comm.Self().WorldRank() }
 
+// mirroring reports whether this rank is a replication-model shadow that is
+// still mirroring its pair rather than acting as a primary.
+func (r *runner) mirroring() bool { return r.ftm != nil && r.ftm.mirror }
+
+// scratch returns the tier holding this rank's intermediate data: its node's
+// local disk, or the PFS on a diskless node.
+func (r *runner) scratch() *storage.Tier {
+	if t := r.job.clus.LocalOf(r.myWorld()); t != nil {
+		return t
+	}
+	return r.job.clus.PFS
+}
+
+// addRecoveryStage adds d to one bucket of the Figure 3 recovery
+// decomposition and emits the matching recovery.stage event, so the counter
+// and the trace are written by one call.
+func addRecoveryStage(m *RankMetrics, rec *trace.Recorder, stage string, d time.Duration) {
+	switch stage {
+	case "init":
+		m.Recovery.Init += d
+	case "load":
+		m.Recovery.LoadCkpt += d
+	case "skip":
+		m.Recovery.Skip += d
+	case "reprocess":
+		m.Recovery.Reprocess += d
+	}
+	rec.RecoveryStage(stage, d)
+}
+
 // run executes phases from the current phase index to completion. On a
 // communication error it returns immediately; the caller decides whether to
 // recover (detect/resume) or give up (checkpoint/restart and MR-MPI mode).
@@ -249,7 +281,7 @@ func (r *runner) run() error {
 			// push has been delivered to this rank's mailbox.
 			r.rep.drain()
 		}
-		if r.ftm != nil && r.ftm.mirror {
+		if r.mirroring() {
 			// Same boundary guarantee for the primary's reduce-progress
 			// sync pushes.
 			r.drainShadowSync()
@@ -277,14 +309,16 @@ func (r *runner) phaseInit() error {
 	tasks := listChunks(paths, clus.PFS.Size)
 	r.tt = newTaskTable(tasks, r.nParts)
 	// Remap initial owners onto the participating world ranks (the hash
-	// assigns 0..n-1 slots; world0 maps slots to actual ranks — or, under a
-	// replication model, the acting primaries map slots to ranks).
+	// assigns 0..n-1 slots). Under a replication model the slots map to the
+	// *current* acting primaries, not home: a failover during init reruns
+	// this phase, and the dead primary's tasks must land on its promoted
+	// shadow.
+	acting := r.home
+	if r.ftm != nil {
+		acting = r.ftm.acting
+	}
 	for i := range r.tt.owner {
-		if r.ftm != nil {
-			r.tt.owner[i] = r.ftm.acting[r.tt.owner[i]%len(r.ftm.acting)]
-		} else {
-			r.tt.owner[i] = r.world0[r.tt.owner[i]%len(r.world0)]
-		}
+		r.tt.owner[i] = acting[r.tt.owner[i]%len(acting)]
 	}
 	// Metadata traversal: one PFS op per 64 chunks.
 	r.m.IOWait += clus.PFS.Charge(r.p, len(tasks)/64+1, 0)
@@ -321,22 +355,32 @@ func (e *kvEmitter) Emit(k, v []byte) {
 	}
 }
 
-// phaseMap runs every map task this rank currently owns (Algorithm 1).
+// phaseMap runs every map task this rank currently owns (Algorithm 1). A
+// mirroring shadow instead re-executes every task its pair owns, building
+// the in-memory map output a failover needs; the primary's stream stays
+// authoritative, so the mirror gossips no status and flips no done bits.
 func (r *runner) phaseMap() error {
-	if r.ftm != nil && r.ftm.mirror {
-		return r.mirrorMap()
-	}
 	mapper := r.spec.NewMapper()
 	reader := r.spec.NewReader()
+	mirror := r.mirroring()
 	for {
 		// Tasks may be added by recovery; re-scan until none pending.
-		ids := r.tt.mine(r.myWorld())
+		var ids []int
+		if mirror {
+			ids = r.mirrorPending()
+		} else {
+			ids = r.tt.mine(r.myWorld())
+		}
 		if len(ids) == 0 {
 			break
 		}
 		for _, id := range ids {
 			if err := r.runMapTask(id, mapper, reader); err != nil {
 				return err
+			}
+			if mirror {
+				r.ftm.mirrorDone[id] = true
+				continue
 			}
 			r.tt.done[id] = true
 			r.backlogBytes -= float64(r.tt.tasks[id].Chunk.Size)
@@ -349,12 +393,17 @@ func (r *runner) phaseMap() error {
 }
 
 // runMapTask executes (or restores) one map task with fine-grained commits.
+// On a mirroring shadow it re-executes the pair's task from scratch, paying
+// the same read, compute and spill costs (replication's overhead is real
+// duplicated work) but restoring, checkpointing and committing nothing.
 func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) error {
 	t0 := r.p.Now()
-	r.ip.SetTask(id)
-	defer r.ip.SetTask(introspect.NoValue)
+	mirror := r.mirroring()
+	if !mirror {
+		r.ip.SetTask(id)
+		defer r.ip.SetTask(introspect.NoValue)
+	}
 	task := r.tt.tasks[id]
-	clus := r.job.clus
 	ctx := &TaskContext{proc: r.p, run: r}
 	stream := mapStream(id)
 
@@ -365,8 +414,8 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 	// a failed process) already performed, so its map CPU counts as
 	// reprocessing in the Figure 3 recovery decomposition. Adopted tasks
 	// count even without checkpoints (the NWC model re-runs them fully).
-	recoveryTask := r.spec.Resume || r.adopted(id)
-	if r.recovering(id) {
+	recoveryTask := !mirror && (r.spec.Resume || r.adopted(id))
+	if recoveryTask && r.spec.Model.Checkpointing() {
 		frames := r.rd.load(r.p, stream)
 		restoreBytes := 0
 		for _, f := range frames {
@@ -394,9 +443,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 			t1 := r.p.Now()
 			r.compute(float64(restoreBytes) * restoreCPUPerByte)
 			r.m.RecordsRestored += int64(restoredRecs)
-			d := r.p.Now() - t1
-			r.m.Recovery.LoadCkpt += d
-			r.rec.RecoveryStage("load", d)
+			addRecoveryStage(r.m, r.rec, "load", r.p.Now()-t1)
 		}
 		if taskComplete {
 			// Static keeps the paper's behaviour of sampling every completed
@@ -415,19 +462,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 	// tokenizes, §3.2). Transient read faults are retried (bounded); a
 	// whole-tier outage is waited out — input lives only on the PFS, so the
 	// job stalls through the window instead of aborting.
-	data, d, err := clus.PFS.ReadFile(r.p, task.Chunk.File)
-	r.m.IOWait += d
-	for attempt := 0; err != nil; {
-		if errors.Is(err, storage.ErrTierOutage) {
-			clus.PFS.AwaitOnline(r.p)
-		} else if !errors.Is(err, storage.ErrReadFault) || attempt >= 2 {
-			break
-		} else {
-			attempt++
-		}
-		data, d, err = clus.PFS.ReadFile(r.p, task.Chunk.File)
-		r.m.IOWait += d
-	}
+	data, err := readRetry(r.p, r.job.clus.PFS, task.Chunk.File, &r.m.IOWait)
 	if err != nil {
 		return fmt.Errorf("core: read chunk %s: %w", task.Chunk.File, err)
 	}
@@ -460,17 +495,13 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 		if skipAcc > 0 {
 			t1 := r.p.Now()
 			r.compute(skipAcc)
-			d := r.p.Now() - t1
-			r.m.Recovery.Skip += d
-			r.rec.RecoveryStage("skip", d)
+			addRecoveryStage(r.m, r.rec, "skip", r.p.Now()-t1)
 			skipAcc = 0
 		}
 		t1 := r.p.Now()
 		r.compute(cpuAcc)
 		if recoveryTask {
-			d := r.p.Now() - t1
-			r.m.Recovery.Reprocess += d
-			r.rec.RecoveryStage("reprocess", d)
+			addRecoveryStage(r.m, r.rec, "reprocess", r.p.Now()-t1)
 		}
 		cpuAcc = 0
 		nInBatch = 0
@@ -505,7 +536,9 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 				return err
 			}
 			cpuAcc += mapper.Cost(k, v)
-			r.m.RecordsMapped++
+			if !mirror {
+				r.m.RecordsMapped++
+			}
 		}
 		rec++
 		nInBatch++
@@ -523,11 +556,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 	// chunk is processed" (§4.1.2) — both the baseline and FT-MRMPI pay it.
 	r.compute(float64(em.bytes) * partitionCPUPerByte)
 	if em.bytes > 0 {
-		scratch := clus.LocalOf(r.myWorld())
-		if scratch == nil {
-			scratch = clus.PFS
-		}
-		r.m.IOWait += scratch.Charge(r.p, em.bytes/65536+1, em.bytes)
+		r.m.IOWait += r.scratch().Charge(r.p, em.bytes/65536+1, em.bytes)
 	}
 
 	// Task-complete marker (with the full task KV under chunk granularity).
@@ -544,9 +573,13 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 		fr := encodeFrame(nil, frameTaskDone, uint32(id), rec, payload)
 		r.ck.write(r.p, stream, fr, 1)
 	}
+	// A mirror trains its load-balance model too, so a promoted shadow
+	// enters recovery rounds with a fitted model.
 	r.lb.observe(task.Chunk.Size, (r.p.Now() - t0).Seconds(), r.p.Now())
-	r.rec.TaskCommit("map", id, int64(rec))
-	r.cm.mapTaskDone((r.p.Now() - t0).Seconds())
+	if !mirror {
+		r.rec.TaskCommit("map", id, int64(rec))
+		r.cm.mapTaskDone((r.p.Now() - t0).Seconds())
+	}
 	return nil
 }
 
@@ -566,22 +599,7 @@ func (r *runner) injectKV(kv *kvbuf.KV) {
 // adopted reports whether a task has been reassigned away from its hash
 // home (i.e. its original owner failed).
 func (r *runner) adopted(taskID int) bool {
-	var home int
-	if r.ftm != nil {
-		home = r.ftm.acting0[assignTask(taskID, r.nParts)%len(r.ftm.acting0)]
-	} else {
-		home = r.world0[assignTask(taskID, r.nParts)%len(r.world0)]
-	}
-	return r.tt.owner[taskID] != home
-}
-
-// recovering reports whether this map task may have checkpoint state to
-// replay (restart resume, or in-place recovery of an adopted task).
-func (r *runner) recovering(taskID int) bool {
-	if !r.spec.Model.Checkpointing() {
-		return false
-	}
-	return r.spec.Resume || r.adopted(taskID)
+	return r.tt.owner[taskID] != r.home[assignTask(taskID, r.nParts)%len(r.home)]
 }
 
 // gossipStatus sends the merged done-bitmap to the ring successor (§3.3:
@@ -612,11 +630,11 @@ func (r *runner) drainStatus() {
 }
 
 // phaseShuffle exchanges the partitioned map output so each partition's
-// owner holds all its pairs, then checkpoints the received buffers.
+// owner holds all its pairs, then checkpoints the received buffers. The two
+// execution models differ only in the transport: one Alltoallv under
+// checkpoint/restart, tracked sends plus shadow mirrors under replication
+// (exchangeReplicate).
 func (r *runner) phaseShuffle() error {
-	if r.ftm != nil {
-		return r.shuffleReplicate()
-	}
 	// If every rank restored its partitions from checkpoints (restart after
 	// a reduce-phase failure), the exchange can be skipped — agreement by
 	// allreduce-min.
@@ -644,43 +662,26 @@ func (r *runner) phaseShuffle() error {
 
 	// Local pre-reduction (MR-MPI's "compress"): fold each partition's
 	// pairs before they travel. Runs at every shuffle (re-)execution;
-	// combiners must therefore be idempotent over their own output.
-	if r.spec.NewCombiner != nil {
+	// combiners must therefore be idempotent over their own output. A
+	// mirroring shadow sends nothing, so it folds nothing.
+	if r.spec.NewCombiner != nil && !r.mirroring() {
 		if err := r.combineLocal(); err != nil {
 			return err
 		}
 	}
 
-	// Build one buffer per destination rank bundling the partitions it owns.
-	// One pass over the partitions (ascending, so each destination's bundle
-	// keeps the same frame order as the old per-destination scan) via an
-	// inverse owner map — a nested ranks×partitions scan is O(W²) per rank
-	// at scale.
-	n := r.comm.Size()
-	bufs := make([][]byte, n)
-	commOf := make(map[int]int, n)
-	for d := 0; d < n; d++ {
-		commOf[r.comm.WorldRank(d)] = d
-	}
-	for part := 0; part < r.nParts; part++ {
-		d, ok := commOf[r.partOwner[part]]
-		if !ok {
-			continue
-		}
-		kv := r.mapOut[part]
-		var payload []byte
-		if kv != nil {
-			payload = kv.Bytes()
-		}
-		bufs[d] = encodeFrame(bufs[d], frameShuffle, uint32(part), 0, payload)
-	}
 	var recv [][]byte
 	t1 := r.p.Now()
-	err = r.net(func() error {
-		out, e := r.comm.Alltoallv(bufs)
-		recv = out
-		return e
-	})
+	if r.ftm != nil {
+		recv, err = r.exchangeReplicate()
+	} else {
+		bufs := r.shuffleBundles()
+		err = r.net(func() error {
+			out, e := r.comm.Alltoallv(bufs)
+			recv = out
+			return e
+		})
+	}
 	r.m.Counters["shuf_a2av_us"] += int64((r.p.Now() - t1) / 1000)
 	if err != nil {
 		return err
@@ -719,7 +720,7 @@ func (r *runner) phaseShuffle() error {
 	r.shuffled = true
 	// Checkpoint the post-shuffle state of each owned partition (§3.2:
 	// tracing send/receive of each buffer culminates in a consistent
-	// partition snapshot).
+	// partition snapshot). Mirrors write nothing: r.ck is disabled there.
 	t1 = r.p.Now()
 	if r.ck.enabled {
 		for _, part := range r.ownedParts() {
@@ -742,16 +743,38 @@ func (r *runner) phaseShuffle() error {
 	return err
 }
 
+// shuffleBundles frames this rank's map output into one bundle per
+// communicator rank, holding the partitions that rank owns. One pass over
+// the partitions, ascending, via an inverse owner map — a nested
+// ranks×partitions scan is O(W²) per rank at scale.
+func (r *runner) shuffleBundles() [][]byte {
+	n := r.comm.Size()
+	bufs := make([][]byte, n)
+	commOf := make(map[int]int, n)
+	for d := 0; d < n; d++ {
+		commOf[r.comm.WorldRank(d)] = d
+	}
+	for part := 0; part < r.nParts; part++ {
+		d, ok := commOf[r.partOwner[part]]
+		if !ok {
+			continue
+		}
+		kv := r.mapOut[part]
+		var payload []byte
+		if kv != nil {
+			payload = kv.Bytes()
+		}
+		bufs[d] = encodeFrame(bufs[d], frameShuffle, uint32(part), 0, payload)
+	}
+	return bufs
+}
+
 // combineLocal applies the user combiner to every partition of this rank's
 // map output, charging grouping I/O and per-group compute.
 func (r *runner) combineLocal() error {
 	comb := r.spec.NewCombiner()
 	ctx := &TaskContext{proc: r.p, run: r}
-	clus := r.job.clus
-	scratch := clus.LocalOf(r.myWorld())
-	if scratch == nil {
-		scratch = clus.PFS
-	}
+	scratch := r.scratch()
 	parts := make([]int, 0, len(r.mapOut))
 	for part := range r.mapOut {
 		parts = append(parts, part)
@@ -800,19 +823,31 @@ func (r *runner) ownedParts() []int {
 	return out
 }
 
-// phaseConvert groups each owned partition's KV into KMV using the
+// workParts returns the partitions this rank converts and reduces,
+// ascending: its own, or on a mirroring shadow the pair's partitions it
+// received in a replicate exchange. Partitions the pair adopted after the
+// exchange have no mirror data and are skipped; failover falls back to the
+// checkpoint path for those.
+func (r *runner) workParts() []int {
+	if !r.mirroring() {
+		return r.ownedParts()
+	}
+	pair := r.ftm.pairWorld()
+	var out []int
+	for part, o := range r.partOwner {
+		if o == pair && r.parts[part] != nil {
+			out = append(out, part)
+		}
+	}
+	return out
+}
+
+// phaseConvert groups each work partition's KV into KMV using the
 // configured algorithm, charging the algorithm's real data movement against
 // the local scratch disk (§5.2).
 func (r *runner) phaseConvert() error {
-	if r.ftm != nil && r.ftm.mirror {
-		return r.mirrorConvert()
-	}
-	clus := r.job.clus
-	scratch := clus.LocalOf(r.myWorld())
-	if scratch == nil {
-		scratch = clus.PFS
-	}
-	for _, part := range r.ownedParts() {
+	scratch := r.scratch()
+	for _, part := range r.workParts() {
 		if r.kmv[part] != nil {
 			continue // restored from checkpoint
 		}
@@ -864,24 +899,24 @@ func outputPath(jobID string, part int) string {
 	return fmt.Sprintf("out/%s/part-%05d", jobID, part)
 }
 
-// phaseReduce runs the user reduce function over each owned partition's
-// groups, committing progress (and output) every CkptInterval groups.
+// phaseReduce runs the user reduce function over each work partition's
+// groups, committing progress (and output) every CkptInterval groups. A
+// mirroring shadow reduces the same groups but commits into its staging
+// buffer (stageReduce) instead of the PFS.
 func (r *runner) phaseReduce() error {
-	if r.ftm != nil && r.ftm.mirror {
-		return r.mirrorReduce()
+	mirror := r.mirroring()
+	progress, commit := r.reduceDone, r.commitReduce
+	if mirror {
+		progress, commit = r.ftm.mirrorRed, r.stageReduce
 	}
 	reducer := r.spec.NewReducer()
-	clus := r.job.clus
 	ctx := &TaskContext{proc: r.p, run: r}
 	interval := uint32(r.spec.CkptInterval)
 	if interval == 0 {
 		interval = 100
 	}
-	scratch := clus.LocalOf(r.myWorld())
-	if scratch == nil {
-		scratch = clus.PFS
-	}
-	for _, part := range r.ownedParts() {
+	scratch := r.scratch()
+	for _, part := range r.workParts() {
 		pt0 := r.p.Now()
 		m := r.kmv[part]
 		if m == nil {
@@ -891,50 +926,18 @@ func (r *runner) phaseReduce() error {
 		if n := m.Bytes(); n > 0 {
 			r.m.IOWait += scratch.Charge(r.p, n/65536+1, n)
 		}
-		start := r.reduceDone[part]
+		start := progress[part]
 		it := &kmvIterator{keys: m.Keys, vals: m.Vals, pos: int(start)}
 		w := &outputWriter{serialize: defaultSerialize}
 		var cpuAcc float64
 		g := start
-		commit := func() error {
+		flush := func() error {
 			r.compute(cpuAcc)
 			cpuAcc = 0
-			if len(w.buf) > 0 {
-				path := outputPath(r.spec.JobID, part)
-				for attempt := 0; ; attempt++ {
-					pre := clus.PFS.Size(path)
-					d, err := clus.PFS.AppendFile(r.p, path, w.buf, 1)
-					r.m.IOWait += d
-					if err == nil {
-						break
-					}
-					// Torn output append: roll back to the pre-append length
-					// and retry, keeping committed bytes byte-exact. A
-					// whole-PFS outage stalls the commit through the window
-					// without consuming the retry budget.
-					clus.PFS.Truncate(path, pre)
-					if errors.Is(err, storage.ErrTierOutage) {
-						clus.PFS.AwaitOnline(r.p)
-						attempt--
-						continue
-					}
-					if attempt >= 7 {
-						return fmt.Errorf("core: output commit for partition %d: %w", part, err)
-					}
-				}
-				r.outLen[part] += uint64(len(w.buf))
-				w.buf = w.buf[:0]
+			if err := commit(part, g, w.buf); err != nil {
+				return err
 			}
-			r.reduceDone[part] = g
-			if r.ck.enabled {
-				var lenBuf [8]byte
-				binary.LittleEndian.PutUint64(lenBuf[:], r.outLen[part])
-				fr := encodeFrame(nil, frameReduce, uint32(part), g, lenBuf[:])
-				r.ck.write(r.p, partStream(part), fr, 1)
-			}
-			r.rec.TaskCommit("reduce", part, int64(g))
-			r.cm.taskCommit()
-			r.pushShadowSync(part, g)
+			w.buf = w.buf[:0]
 			return nil
 		}
 		for {
@@ -946,21 +949,77 @@ func (r *runner) phaseReduce() error {
 				return err
 			}
 			cpuAcc += reducer.Cost(key, vals)
-			r.m.GroupsReduced++
+			if !mirror {
+				r.m.GroupsReduced++
+			}
 			g++
 			if g%interval == 0 {
-				if err := commit(); err != nil {
+				if err := flush(); err != nil {
 					return err
 				}
 			}
 		}
-		if err := commit(); err != nil {
+		if err := flush(); err != nil {
 			return err
 		}
-		r.cm.reducePartDone((r.p.Now() - pt0).Seconds())
+		if !mirror {
+			r.cm.reducePartDone((r.p.Now() - pt0).Seconds())
+		}
+	}
+	if mirror {
+		r.drainShadowSync()
 	}
 	r.ck.phaseSync(r.p)
 	return r.net(func() error { return r.comm.Barrier() })
+}
+
+// commitReduce makes a partition's reduce progress durable: it appends the
+// new output to the PFS, records the group count and output length in a
+// checkpoint frame, and tells the pair's live shadow how far it got.
+func (r *runner) commitReduce(part int, g uint32, out []byte) error {
+	if len(out) > 0 {
+		if err := r.appendOutput(part, out); err != nil {
+			return err
+		}
+		r.outLen[part] += uint64(len(out))
+	}
+	r.reduceDone[part] = g
+	if r.ck.enabled {
+		var lenBuf [8]byte
+		binary.LittleEndian.PutUint64(lenBuf[:], r.outLen[part])
+		fr := encodeFrame(nil, frameReduce, uint32(part), g, lenBuf[:])
+		r.ck.write(r.p, partStream(part), fr, 1)
+	}
+	r.rec.TaskCommit("reduce", part, int64(g))
+	r.cm.taskCommit()
+	r.pushShadowSync(part, g)
+	return nil
+}
+
+// appendOutput appends committed bytes to a partition's output file. A torn
+// append is rolled back to the pre-append length and retried, keeping
+// committed bytes byte-exact; a whole-PFS outage stalls the commit through
+// the window without consuming the retry budget.
+func (r *runner) appendOutput(part int, buf []byte) error {
+	pfs := r.job.clus.PFS
+	path := outputPath(r.spec.JobID, part)
+	for attempt := 0; ; attempt++ {
+		pre := pfs.Size(path)
+		d, err := pfs.AppendFile(r.p, path, buf, 1)
+		r.m.IOWait += d
+		if err == nil {
+			return nil
+		}
+		pfs.Truncate(path, pre)
+		if errors.Is(err, storage.ErrTierOutage) {
+			pfs.AwaitOnline(r.p)
+			attempt--
+			continue
+		}
+		if attempt >= 7 {
+			return fmt.Errorf("core: output commit for partition %d: %w", part, err)
+		}
+	}
 }
 
 // ----------------------------------------------------------- DR recovery --
@@ -995,17 +1054,19 @@ func (r *runner) recoverDR(retry bool) (err error) {
 	r.rec.RecoveryBegin()
 	r.rec.FailureDetect(nil)
 	r.rec.Revoke("observed")
+	endRecovery := func() {
+		d := r.p.Now() - t0
+		addRecoveryStage(r.m, r.rec, "init", d)
+		r.m.PhaseTime[PhaseRecovery] += d
+		r.rec.RecoveryEnd()
+	}
 	// On an interrupted attempt, close this span when bailing out with an
 	// error: the caller will open a fresh one for the restarted attempt. (A
 	// kill unwinds via panic with err == nil, correctly leaving the dead
 	// rank's span open.)
 	defer func() {
 		if err != nil {
-			d := r.p.Now() - t0
-			r.m.Recovery.Init += d
-			r.m.PhaseTime[PhaseRecovery] += d
-			r.rec.RecoveryStage("init", d)
-			r.rec.RecoveryEnd()
+			endRecovery()
 		}
 	}()
 	if retry {
@@ -1138,7 +1199,7 @@ func (r *runner) recoverDR(retry bool) (err error) {
 		// promoted shadows claimed their pairs' tasks and partitions from
 		// their own memory, so nothing is lost — no reassignment, no replay,
 		// no PFS restore, and no phase rewind beyond the survivors' minimum.
-	} else if r.phaseAtLeast(minPhase, phShuffle) && len(lostPending) == 0 {
+	} else if minPhase >= phShuffle && len(lostPending) == 0 {
 		// Post-shuffle failure: partition data was lost from memory. With
 		// checkpoints (WC) it is restored from a replica or the PFS; without
 		// (NWC), or if a partition's snapshot survives nowhere, the map
@@ -1175,13 +1236,7 @@ func (r *runner) recoverDR(retry bool) (err error) {
 				return err
 			}
 			r.shuffled = false
-			for _, part := range lost {
-				if r.partOwner[part] == r.myWorld() {
-					r.reduceDone[part] = 0
-					r.outLen[part] = 0
-					r.truncateOutput(part)
-				}
-			}
+			r.resetOutputs(lost)
 			minPhase = phMap
 		} else {
 			// Work-conserving: adopt the lost partitions from checkpoints.
@@ -1206,13 +1261,7 @@ func (r *runner) recoverDR(retry bool) (err error) {
 		// shuffle has destinations; unclaimed work is redistributed, with
 		// completed-but-lost tasks re-run (restorably under WC).
 		r.reassign(lost, models, func(int) float64 { return 1 })
-		for _, part := range lost {
-			if r.partOwner[part] == r.myWorld() {
-				r.reduceDone[part] = 0
-				r.outLen[part] = 0
-				r.truncateOutput(part)
-			}
-		}
+		r.resetOutputs(lost)
 		r.markNotDone(lostDone)
 		lostTasks := append(lostDone, lostPending...)
 		r.redistributeTasks(lostTasks, models, wc)
@@ -1224,16 +1273,9 @@ func (r *runner) recoverDR(retry bool) (err error) {
 	}
 
 	r.phase = minPhase
-	d := r.p.Now() - t0
-	r.m.Recovery.Init += d
-	r.m.PhaseTime[PhaseRecovery] += d
-	r.rec.RecoveryStage("init", d)
-	r.rec.RecoveryEnd()
+	endRecovery()
 	return nil
 }
-
-// phaseAtLeast reports whether ph has reached the target phase.
-func (r *runner) phaseAtLeast(ph, target int) bool { return ph >= target }
 
 // currentGroup returns the communicator's world ranks.
 func (r *runner) currentGroup() []int {
@@ -1257,6 +1299,18 @@ func diffRanks(old, new []int) []int {
 		}
 	}
 	return out
+}
+
+// resetOutputs discards the reduce progress and output of the listed
+// partitions this rank owns: their data is regenerated from the map phase.
+func (r *runner) resetOutputs(parts []int) {
+	for _, part := range parts {
+		if r.partOwner[part] == r.myWorld() {
+			r.reduceDone[part] = 0
+			r.outLen[part] = 0
+			r.truncateOutput(part)
+		}
+	}
 }
 
 // markNotDone clears the done flags of tasks whose output was lost.
@@ -1284,12 +1338,9 @@ func (r *runner) reassign(lost []int, models []lbModel, weight func(int) float64
 		assignment = evenSplit(r.comm.Size(), len(lost))
 	}
 	for surv, pieceIdxs := range assignment {
-		w := r.comm.WorldRank(surv)
-		if r.ftm != nil {
-			// Never park partitions on a dedicated mirror; its acting
-			// primary owns them and the mirror follows.
-			w = r.ftm.redirectToActing(w)
-		}
+		// Never park partitions on a dedicated mirror; its acting primary
+		// owns them and the mirror follows.
+		w := r.ftm.redirectToActing(r.comm.WorldRank(surv))
 		for _, pi := range pieceIdxs {
 			r.partOwner[lost[pi]] = w
 		}
@@ -1320,12 +1371,9 @@ func (r *runner) redistributeTasks(lostIDs []int, models []lbModel, restorable b
 		assignment = evenSplit(r.comm.Size(), len(lostIDs))
 	}
 	for surv, pieceIdxs := range assignment {
-		w := r.comm.WorldRank(surv)
-		if r.ftm != nil {
-			// Tasks land on acting primaries; mirrors re-execute them by
-			// mirroring their pair, never as owners.
-			w = r.ftm.redirectToActing(w)
-		}
+		// Tasks land on acting primaries; mirrors re-execute them by
+		// mirroring their pair, never as owners.
+		w := r.ftm.redirectToActing(r.comm.WorldRank(surv))
 		for _, pi := range pieceIdxs {
 			r.tt.owner[lostIDs[pi]] = w
 			if w == r.myWorld() {
@@ -1460,9 +1508,7 @@ func (r *runner) restorePartition(part int) error {
 		r.parts[part] = kv
 		t1 := r.p.Now()
 		r.compute(float64(kv.Size()) * restoreCPUPerByte)
-		d := r.p.Now() - t1
-		r.m.Recovery.LoadCkpt += d
-		r.rec.RecoveryStage("load", d)
+		addRecoveryStage(r.m, r.rec, "load", r.p.Now()-t1)
 	}
 	if m != nil {
 		r.kmv[part] = m

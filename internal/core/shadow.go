@@ -6,19 +6,19 @@ package core
 // shuffle bundles, converting and reducing the same partitions into a local
 // staging buffer — so a primary failure fails over to the live shadow with
 // no checkpoint replay and no PFS read (FTHP-MPI / PartRePer-MPI style).
-// FTModelCR (the zero value) leaves every path in this file unreached, so
-// checkpoint-only runs stay byte-identical to pre-replication behaviour.
+// The phases themselves are runner.go's; this file holds the model's state,
+// its shuffle transport, the mirror's reduce sink and the failover. Under
+// FTModelCR (the zero value) ftm is nil and everything here is unreached or
+// returns at its nil check, so checkpoint-only runs stay byte-identical to
+// pre-replication behaviour.
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
-	"ftmrmpi/internal/kvbuf"
 	"ftmrmpi/internal/metrics"
 	"ftmrmpi/internal/mpi"
 	"ftmrmpi/internal/sched"
-	"ftmrmpi/internal/storage"
 )
 
 // Replication-model message tags, in tag space far above tagStatusBase and
@@ -66,9 +66,8 @@ type ftState struct {
 	slot    int  // the slot this rank serves (fixed for the job's lifetime)
 	mirror  bool // true while this rank is a mirroring shadow (cleared on promotion)
 
-	acting  []int // slot -> world rank currently acting as the slot's primary
-	acting0 []int // initial acting assignment (the hash-home mapping)
-	shadow  []int // slot -> live mirroring shadow's world rank, or -1
+	acting []int // slot -> world rank currently acting as the slot's primary
+	shadow []int // slot -> live mirroring shadow's world rank, or -1
 
 	mirrorSlot map[int]int // world rank -> slot, for live mirroring shadows
 
@@ -132,7 +131,6 @@ func newFTState(j *jobCtx, c *mpi.Comm, spec Spec) *ftState {
 			f.mirrorSlot[sw] = slot
 		}
 	}
-	f.acting0 = append([]int(nil), f.acting...)
 	return f
 }
 
@@ -152,8 +150,12 @@ func (f *ftState) actingSlot(w int) int {
 
 // redirectToActing maps a mirroring shadow to the primary it serves, so lost
 // work redistributed by recovery is never parked on a dedicated mirror (the
-// mirror re-executes it anyway, by mirroring its pair).
+// mirror re-executes it anyway, by mirroring its pair). Nil-safe: without a
+// replication model every rank acts for itself.
 func (f *ftState) redirectToActing(w int) int {
+	if f == nil {
+		return w
+	}
 	if slot, ok := f.mirrorSlot[w]; ok {
 		return f.acting[slot]
 	}
@@ -172,20 +174,6 @@ func (r *runner) syncTag() int { return tagShadowSync + r.job.jobIdx }
 
 // ---------------------------------------------------------- mirror phases --
 
-// mirrorEmitter stages a mirrored map task's output. Staging (instead of
-// emitting straight into mapOut) keeps mirrored tasks atomic: a task
-// interrupted by recovery re-runs from scratch without double-emitting.
-type mirrorEmitter struct {
-	kv    *kvbuf.KV
-	bytes int
-}
-
-// Emit implements KVWriter.
-func (e *mirrorEmitter) Emit(k, v []byte) {
-	e.kv.Add(k, v)
-	e.bytes += len(k) + len(v) + 8
-}
-
 // mirrorPending returns the pair's tasks this shadow has not mirrored yet.
 func (r *runner) mirrorPending() []int {
 	pair := r.ftm.pairWorld()
@@ -198,105 +186,15 @@ func (r *runner) mirrorPending() []int {
 	return out
 }
 
-// mirrorMap is the shadow-side map phase: re-execute every task the pair
-// owns, staging the output locally. No gossip, no checkpoints, no done-bit
-// mutation — the primary's stream is authoritative; the mirror only builds
-// the in-memory state a failover needs.
-func (r *runner) mirrorMap() error {
-	mapper := r.spec.NewMapper()
-	reader := r.spec.NewReader()
-	for {
-		// Recovery may reassign tasks to the pair; re-scan until none pending.
-		ids := r.mirrorPending()
-		if len(ids) == 0 {
-			break
-		}
-		for _, id := range ids {
-			if err := r.mirrorMapTask(id, mapper, reader); err != nil {
-				return err
-			}
-			r.ftm.mirrorDone[id] = true
-		}
-	}
-	r.drainStatus()
-	return r.net(func() error { return r.comm.Barrier() })
-}
-
-// mirrorMapTask re-executes one map task with the pair's input chunk,
-// paying the same read/compute/spill costs as the primary (replication's
-// resource overhead is real duplicated work) but writing no checkpoints.
-func (r *runner) mirrorMapTask(id int, mapper Mapper, reader FileRecordReader) error {
-	t0 := r.p.Now()
-	task := r.tt.tasks[id]
-	clus := r.job.clus
-	ctx := &TaskContext{proc: r.p, run: r}
-
-	data, d, err := clus.PFS.ReadFile(r.p, task.Chunk.File)
-	r.m.IOWait += d
-	for attempt := 0; err != nil; {
-		if errors.Is(err, storage.ErrTierOutage) {
-			clus.PFS.AwaitOnline(r.p)
-		} else if !errors.Is(err, storage.ErrReadFault) || attempt >= 2 {
-			break
-		} else {
-			attempt++
-		}
-		data, d, err = clus.PFS.ReadFile(r.p, task.Chunk.File)
-		r.m.IOWait += d
-	}
-	if err != nil {
-		return fmt.Errorf("core: mirror read chunk %s: %w", task.Chunk.File, err)
-	}
-	if err := reader.Open(task.Chunk, data); err != nil {
-		return err
-	}
-	defer reader.Close()
-
-	em := &mirrorEmitter{kv: kvbuf.NewKV()}
-	var cpuAcc float64
-	n := 0
-	for {
-		k, v, ok, err := reader.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := mapper.Map(ctx, k, v, em); err != nil {
-			return err
-		}
-		cpuAcc += mapper.Cost(k, v)
-		n++
-		if n >= mapBatch {
-			r.compute(cpuAcc)
-			cpuAcc = 0
-			n = 0
-		}
-	}
-	r.compute(cpuAcc)
-	r.compute(float64(em.bytes) * partitionCPUPerByte)
-	if em.bytes > 0 {
-		scratch := clus.LocalOf(r.myWorld())
-		if scratch == nil {
-			scratch = clus.PFS
-		}
-		r.m.IOWait += scratch.Charge(r.p, em.bytes/65536+1, em.bytes)
-	}
-	r.injectKV(em.kv)
-	// Train the shadow's load-balance model on the mirrored executions, so a
-	// promoted shadow enters recovery rounds with a fitted model.
-	r.lb.observe(task.Chunk.Size, (r.p.Now() - t0).Seconds(), r.p.Now())
-	return nil
-}
-
-// shuffleReplicate replaces the Alltoallv exchange when the replication
-// model is active: primaries send each slot's bundle directly to its acting
-// primary and shadow-mirror the identical bytes (same flow id) to the slot's
-// live shadow; every rank — primary or shadow — then collects one bundle per
+// exchangeReplicate is the shuffle transport when the replication model is
+// active: primaries send each slot's bundle directly to its acting primary
+// and shadow-mirror the identical bytes (same flow id) to the slot's live
+// shadow; every rank — primary or shadow — then collects one bundle per
 // slot, deduplicating on flow id. Shadows end up holding their pair's
 // post-shuffle partitions without the primary ever re-sending on failover.
-func (r *runner) shuffleReplicate() error {
+// The bundles are returned in slot order, so every receiver merges them in
+// the same deterministic order.
+func (r *runner) exchangeReplicate() ([][]byte, error) {
 	f := r.ftm
 	tag := r.shuffleTag()
 
@@ -311,63 +209,24 @@ func (r *runner) shuffleReplicate() error {
 		}
 	}
 
-	// Skip agreement, identical to the CR exchange.
-	have := int64(1)
-	if !r.shuffled {
-		have = 0
-	}
-	var all int64
-	err := r.net(func() error {
-		v, e := r.comm.AllreduceInt64(have, func(a, b int64) int64 {
-			if a < b {
-				return a
-			}
-			return b
-		})
-		all = v
-		return e
-	})
-	if err != nil {
-		return err
-	}
-	if all == 1 {
-		return nil
-	}
-
-	t1 := r.p.Now()
 	if !f.mirror {
-		if r.spec.NewCombiner != nil {
-			if err := r.combineLocal(); err != nil {
-				return err
-			}
-		}
+		bufs := r.shuffleBundles()
 		for _, d := range liveSlots {
-			dw := f.acting[d]
-			var bundle []byte
-			for part := 0; part < r.nParts; part++ {
-				if r.partOwner[part] != dw {
-					continue
-				}
-				kv := r.mapOut[part]
-				var payload []byte
-				if kv != nil {
-					payload = kv.Bytes()
-				}
-				bundle = encodeFrame(bundle, frameShuffle, uint32(part), 0, payload)
-			}
+			dst := r.comm.CommRankOf(f.acting[d])
+			bundle := bufs[dst]
 			var flow uint64
 			if err := r.net(func() error {
-				id, e := r.comm.SendTracked(r.comm.CommRankOf(dw), tag, bundle)
+				id, e := r.comm.SendTracked(dst, tag, bundle)
 				flow = id
 				return e
 			}); err != nil {
-				return err
+				return nil, err
 			}
 			if sw := f.shadow[d]; sw >= 0 {
 				if err := r.net(func() error {
 					return r.comm.SendMirror(r.comm.CommRankOf(sw), tag, bundle, flow)
 				}); err != nil {
-					return err
+					return nil, err
 				}
 				f.mets.mirrorSend(len(bundle))
 			}
@@ -385,7 +244,7 @@ func (r *runner) shuffleReplicate() error {
 			m = msg
 			return e
 		}); err != nil {
-			return err
+			return nil, err
 		}
 		if f.seenFlows[m.ID()] {
 			f.mets.dupDrop()
@@ -400,163 +259,22 @@ func (r *runner) shuffleReplicate() error {
 		got[srcSlot] = m.Data
 		need--
 	}
-	r.m.Counters["shuf_a2av_us"] += int64((r.p.Now() - t1) / 1000)
-
-	// Merge in slot order so every receiver builds partitions in the same
-	// deterministic order as the CR exchange.
-	r.parts = make(map[int]*kvbuf.KV)
-	r.kmv = make(map[int]*kvbuf.KMV)
-	for _, s := range liveSlots {
-		fs, err := decodeFrames(got[s])
-		if err != nil {
-			return fmt.Errorf("core: replicate shuffle bundle: %w", err)
-		}
-		for _, fr := range fs {
-			if fr.kind != frameShuffle {
-				continue
-			}
-			part := int(fr.a)
-			dst := r.parts[part]
-			if dst == nil {
-				dst = kvbuf.NewKV()
-				r.parts[part] = dst
-			}
-			if len(fr.payload) > 0 {
-				kv, err := kvbuf.FromBytes(fr.payload)
-				if err != nil {
-					return err
-				}
-				dst.Append(kv)
-				r.m.ShuffleBytes += int64(kv.Size())
-			}
-		}
+	out := make([][]byte, len(liveSlots))
+	for i, s := range liveSlots {
+		out[i] = got[s]
 	}
-	r.shuffled = true
-
-	// Primaries checkpoint their owned partitions exactly as the CR exchange
-	// does; shadows write nothing (r.ck is disabled on mirrors and ownedParts
-	// is empty for them anyway).
-	t1 = r.p.Now()
-	if r.ck.enabled {
-		for _, part := range r.ownedParts() {
-			kv := r.parts[part]
-			var payload []byte
-			if kv != nil {
-				payload = kv.Bytes()
-			}
-			fr := encodeFrame(nil, frameShuffle, uint32(part), 0, payload)
-			r.ck.write(r.p, partStream(part), fr, 1)
-		}
-	}
-	r.m.Counters["shuf_ckpt_us"] += int64((r.p.Now() - t1) / 1000)
-	t1 = r.p.Now()
-	r.ck.phaseSync(r.p)
-	r.m.Counters["shuf_drain_us"] += int64((r.p.Now() - t1) / 1000)
-	t1 = r.p.Now()
-	err = r.net(func() error { return r.comm.Barrier() })
-	r.m.Counters["shuf_barrier_us"] += int64((r.p.Now() - t1) / 1000)
-	return err
+	return out, nil
 }
 
-// mirrorParts returns the pair's partitions this shadow actually received in
-// a replicate exchange (ascending). Partitions the pair adopted after the
-// exchange have no mirror data and are skipped — failover falls back to the
-// checkpoint path for those.
-func (r *runner) mirrorParts() []int {
-	pair := r.ftm.pairWorld()
-	var out []int
-	for part, o := range r.partOwner {
-		if o == pair && r.parts[part] != nil {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-// mirrorConvert is the shadow-side convert phase: group the mirrored
-// partitions with the same algorithm and real charges as the primary.
-func (r *runner) mirrorConvert() error {
-	clus := r.job.clus
-	scratch := clus.LocalOf(r.myWorld())
-	if scratch == nil {
-		scratch = clus.PFS
-	}
-	for _, part := range r.mirrorParts() {
-		if r.kmv[part] != nil {
-			continue
-		}
-		kv := r.parts[part]
-		var m *kvbuf.KMV
-		var st kvbuf.ConvertStats
-		if r.spec.Convert == ConvertFourPass {
-			m, st = kvbuf.ConvertFourPass(kv)
-		} else {
-			m, st = kvbuf.ConvertTwoPass(kv)
-		}
-		r.kmv[part] = m
-		r.m.IOWait += scratch.Charge(r.p, st.ReadOps+st.WriteOps, st.Total())
-		r.compute(float64(st.Total()) * convertCPUPerByte)
-	}
-	return r.net(func() error { return r.comm.Barrier() })
-}
-
-// mirrorReduce is the shadow-side reduce phase: run the reducer over the
-// mirrored partitions into a local staging buffer (no PFS writes, no
-// checkpoint frames), folding in the primary's reduce-progress sync pushes
-// as they arrive so a failover knows the durable high-water mark.
-func (r *runner) mirrorReduce() error {
-	reducer := r.spec.NewReducer()
-	ctx := &TaskContext{proc: r.p, run: r}
-	interval := uint32(r.spec.CkptInterval)
-	if interval == 0 {
-		interval = 100
-	}
-	clus := r.job.clus
-	scratch := clus.LocalOf(r.myWorld())
-	if scratch == nil {
-		scratch = clus.PFS
-	}
-	for _, part := range r.mirrorParts() {
-		m := r.kmv[part]
-		if m == nil {
-			m = &kvbuf.KMV{}
-		}
-		if n := m.Bytes(); n > 0 {
-			r.m.IOWait += scratch.Charge(r.p, n/65536+1, n)
-		}
-		start := r.ftm.mirrorRed[part]
-		it := &kmvIterator{keys: m.Keys, vals: m.Vals, pos: int(start)}
-		w := &outputWriter{serialize: defaultSerialize}
-		var cpuAcc float64
-		g := start
-		stage := func() {
-			r.compute(cpuAcc)
-			cpuAcc = 0
-			if len(w.buf) > 0 {
-				r.ftm.shadowOut[part] = append(r.ftm.shadowOut[part], w.buf...)
-				w.buf = w.buf[:0]
-			}
-			r.ftm.mirrorRed[part] = g
-			r.drainShadowSync()
-		}
-		for {
-			key, vals, ok := it.Next()
-			if !ok {
-				break
-			}
-			if err := reducer.Reduce(ctx, key, vals, w); err != nil {
-				return err
-			}
-			cpuAcc += reducer.Cost(key, vals)
-			g++
-			if g%interval == 0 {
-				stage()
-			}
-		}
-		stage()
-	}
+// stageReduce is a mirroring shadow's reduce commit: it stages the output in
+// memory (no PFS write, no checkpoint frame) and folds in the primary's
+// reduce-progress sync pushes as they arrive, so a failover knows the
+// durable high-water mark.
+func (r *runner) stageReduce(part int, g uint32, out []byte) error {
+	r.ftm.shadowOut[part] = append(r.ftm.shadowOut[part], out...)
+	r.ftm.mirrorRed[part] = g
 	r.drainShadowSync()
-	return r.net(func() error { return r.comm.Barrier() })
+	return nil
 }
 
 // pushShadowSync sends this primary's latest durable reduce commit to its
@@ -728,30 +446,6 @@ func (r *runner) reconcileMirrorOutput(part int) error {
 	delete(f.shadowOut, part)
 	delete(f.mirrorRed, part)
 	return nil
-}
-
-// appendOutput appends committed bytes to a partition's output file with the
-// same torn-write rollback and outage-wait discipline as the reduce commit.
-func (r *runner) appendOutput(part int, buf []byte) error {
-	pfs := r.job.clus.PFS
-	path := outputPath(r.spec.JobID, part)
-	for attempt := 0; ; attempt++ {
-		pre := pfs.Size(path)
-		d, err := pfs.AppendFile(r.p, path, buf, 1)
-		r.m.IOWait += d
-		if err == nil {
-			return nil
-		}
-		pfs.Truncate(path, pre)
-		if errors.Is(err, storage.ErrTierOutage) {
-			pfs.AwaitOnline(r.p)
-			attempt--
-			continue
-		}
-		if attempt >= 7 {
-			return fmt.Errorf("core: failover output append for partition %d: %w", part, err)
-		}
-	}
 }
 
 // pureFailover reports whether recovery can skip the lost-work machinery

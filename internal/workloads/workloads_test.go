@@ -8,6 +8,7 @@ import (
 
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/core"
+	"ftmrmpi/internal/sched"
 )
 
 func testCluster() *cluster.Cluster {
@@ -257,12 +258,13 @@ func TestGraphGeneratorDeterministic(t *testing.T) {
 
 func TestWordcountCombinerEquivalence(t *testing.T) {
 	p := smallWordcount()
-	run := func(combine bool, kill bool) (map[string]int, int64) {
+	run := func(combine bool, kill bool, model core.FTModel) (map[string]int, int64) {
 		clus := testCluster()
-		name := "comb-" + strconv.FormatBool(combine) + "-" + strconv.FormatBool(kill)
+		name := "comb-" + strconv.FormatBool(combine) + "-" + strconv.FormatBool(kill) + "-" + model.String()
 		GenCorpus(clus, "in/"+name, p)
 		spec := WordcountSpec(name, "in/"+name, 8, p)
 		spec.Model = core.ModelDetectResumeWC
+		spec.FTModel = model
 		spec.CkptInterval = 10
 		if combine {
 			spec = WithCombiner(spec, p)
@@ -281,11 +283,18 @@ func TestWordcountCombinerEquivalence(t *testing.T) {
 				shuffleBytes += m.ShuffleBytes
 			}
 		}
-		return ReadWordCounts(clus, name, 8), shuffleBytes
+		parts := 8
+		if model == core.FTModelReplicate {
+			// Only the primary slots partition the key space (rank 3, the
+			// kill victim, is one of them, so the kill forces a promotion).
+			parts = sched.PairRanks(8, clus.Cfg.PPN, len(clus.Nodes), 1).P
+		}
+		return ReadWordCounts(clus, name, parts), shuffleBytes
 	}
-	plain, plainBytes := run(false, false)
-	comb, combBytes := run(true, false)
-	combKill, _ := run(true, true)
+	plain, plainBytes := run(false, false, core.FTModelCR)
+	comb, combBytes := run(true, false, core.FTModelCR)
+	combKill, _ := run(true, true, core.FTModelCR)
+	combKillRep, _ := run(true, true, core.FTModelReplicate)
 	if len(plain) != len(comb) {
 		t.Fatalf("combiner changed word set: %d vs %d", len(comb), len(plain))
 	}
@@ -295,6 +304,9 @@ func TestWordcountCombinerEquivalence(t *testing.T) {
 		}
 		if combKill[w] != n {
 			t.Fatalf("combiner+failure changed count[%s]: %d vs %d", w, combKill[w], n)
+		}
+		if combKillRep[w] != n {
+			t.Fatalf("combiner+failure under replication changed count[%s]: %d vs %d", w, combKillRep[w], n)
 		}
 	}
 	if combBytes >= plainBytes {
