@@ -2,10 +2,11 @@ GO ?= go
 
 # `make check` is the tier-1 gate (referenced from ROADMAP.md): static
 # checks, a full build (including every cmd/ binary), the race detector over
-# the internals, the whole test suite, a short fuzz of the checkpoint codecs,
-# the tracer- and metrics-overhead benchmarks that keep the disabled
-# instrumentation paths at one-branch cost, and the ftmr-trace, ftmr-metrics
-# and critical-path fixture self-tests.
+# the internals, the whole test suite, a short fuzz of the checkpoint codecs
+# and the introspection-snapshot and OpenMetrics parsers, the tracer- and
+# metrics-overhead benchmarks that keep the disabled instrumentation paths
+# at one-branch cost, and the ftmr-trace, ftmr-metrics and critical-path
+# fixture self-tests.
 .PHONY: check vet build build-cmds test race fuzz-smoke bench-overhead bench-throughput trace-selftest metrics-selftest critpath-selftest replica-selftest ftmodel-selftest introspect-selftest bench
 
 check: vet build build-cmds race test fuzz-smoke bench-overhead throughput-gate trace-selftest metrics-selftest critpath-selftest replica-selftest ftmodel-selftest introspect-selftest
@@ -32,6 +33,9 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeShadowSync$$' -fuzztime 5s
 	$(GO) test ./internal/introspect -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 5s
+	# The exposition seeds are up to 53 KB: cap minimization of each new
+	# interesting input so it cannot eat the whole fuzz budget.
+	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzParseOpenMetrics$$' -fuzztime 5s -fuzzminimizetime 100x
 
 # Runs the raw benchmarks for eyeballing, then the hard gates: the tests
 # fail if a disabled tracer or metrics path allocates or regresses past

@@ -89,7 +89,8 @@ type Cluster struct {
 	// Trace, when non-nil, receives structured events from every layer
 	// running on this cluster (MPI, runner, checkpointing, failure
 	// injection). nil disables tracing at the cost of one branch per
-	// instrumentation point.
+	// instrumentation point. Layers reach Trace, Metrics and Introspect
+	// through one handle per rank, Recorder.
 	Trace *trace.Tracer
 
 	// Metrics, when non-nil, is the live metrics registry every layer binds
@@ -103,6 +104,31 @@ type Cluster struct {
 	// disables it at the cost of one branch per instrumentation point, and
 	// it must be set before Launch.
 	Introspect *introspect.Plane
+
+	// recs memoizes the untraced Recorders handed out while Trace is nil
+	// (the tracer memoizes its own).
+	recs map[int]*trace.Recorder
+}
+
+// Recorder returns rank's observation handle (trace.GlobalRank for the
+// world track): one trace.Recorder feeding every attached plane — the trace
+// ring, the Metrics registry and the rank's Introspect probe. With Trace set
+// it is the tracer's own recorder for the rank; otherwise an untraced one,
+// memoized per rank. It is nil only when all three planes are off. Set the
+// planes before launch: each rank keeps the handle it was launched with.
+func (c *Cluster) Recorder(rank int) *trace.Recorder {
+	if c.Trace == nil && c.Metrics == nil && c.Introspect == nil {
+		return nil
+	}
+	r := c.Trace.Rank(rank)
+	if r == nil {
+		if r = c.recs[rank]; r == nil {
+			r = trace.NewRecorder(rank)
+			c.recs[rank] = r
+		}
+	}
+	r.Attach(c.Metrics, c.Introspect.RankProbe(rank))
+	return r
 }
 
 // New builds a cluster on a fresh simulation.
@@ -118,10 +144,11 @@ func NewOn(sim *vtime.Sim, cfg Config) *Cluster {
 	}
 	fs := storage.NewFS()
 	c := &Cluster{
-		Sim: sim,
-		Cfg: cfg,
-		FS:  fs,
-		PFS: storage.NewTier("pfs", fs, vtime.NewBandwidth(sim, "pfs-bw", cfg.PFSBandwidth), cfg.PFSOpLat, "pfs:"),
+		Sim:  sim,
+		Cfg:  cfg,
+		FS:   fs,
+		recs: make(map[int]*trace.Recorder),
+		PFS:  storage.NewTier("pfs", fs, vtime.NewBandwidth(sim, "pfs-bw", cfg.PFSBandwidth), cfg.PFSOpLat, "pfs:"),
 	}
 	if cfg.PFSIOPS > 0 {
 		c.PFS.IOPS = vtime.NewBandwidth(sim, "pfs-iops", cfg.PFSIOPS)

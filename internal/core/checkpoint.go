@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"time"
 
-	"ftmrmpi/internal/introspect"
 	"ftmrmpi/internal/storage"
 	"ftmrmpi/internal/trace"
 	"ftmrmpi/internal/vtime"
@@ -302,9 +301,7 @@ type ckptWriter struct {
 	cp      *copier
 	m       *RankMetrics
 	rec     *trace.Recorder
-	cm      *coreMets
-	ip      *introspect.RankProbe // nil when introspection is disabled
-	agent   *lbAgent              // fed phase-boundary drain stalls (trace LB model)
+	agent   *lbAgent    // fed phase-boundary drain stalls (trace LB model)
 	rep     *replicator // nil when the in-memory replica tier is disabled
 }
 
@@ -322,7 +319,6 @@ func (w *ckptWriter) write(p *vtime.Proc, stream string, data []byte, frames int
 	if w.loc == LocLocalCopier && w.local != nil {
 		d := appendRepair(p, w.local, path, data, frames)
 		w.m.IOWait += d
-		w.cm.ckptWrite(d)
 		w.rec.CkptStall("write", d)
 		w.cp.enqueue(stream)
 		w.replicate(stream, data)
@@ -332,7 +328,6 @@ func (w *ckptWriter) write(p *vtime.Proc, stream string, data []byte, frames int
 	// shared file system (§4.1.3's slow path).
 	d := appendRepair(p, w.pfs, path, data, frames)
 	w.m.IOWait += d
-	w.cm.ckptWrite(d)
 	w.rec.CkptStall("write", d)
 	w.replicate(stream, data)
 }
@@ -373,12 +368,11 @@ func appendRepair(p *vtime.Proc, t *storage.Tier, path string, data []byte, ops 
 func (w *ckptWriter) phaseSync(p *vtime.Proc) {
 	if w.enabled && w.loc == LocLocalCopier && w.cp != nil {
 		t0 := p.Now()
-		w.ip.EnterDrain()
+		w.rec.EnterDrain()
 		w.cp.drainWait(p)
-		w.ip.ExitDrain()
+		w.rec.ExitDrain()
 		d := p.Now() - t0
 		w.m.IOWait += d
-		w.cm.ckptDrain(d)
 		w.rec.CkptStall("drain", d)
 		if w.agent != nil {
 			w.agent.noteStall(d)
@@ -394,21 +388,12 @@ type ckptReader struct {
 	prefetch bool
 	m        *RankMetrics
 	rec      *trace.Recorder
-	cm       *coreMets
 	// staged marks streams already prefetched to the local disk.
 	staged map[string]bool
 	// rs, when non-nil, is the rank's in-memory replica store; load prefers
 	// it over the PFS (the failover chain's RAM tiers).
 	rs *replicaStore
 }
-
-// Recovery read-path sources, in failover-chain order. The literals must
-// match the metrics health engine's ftmr_recovery_reads source labels.
-const (
-	srcReplicaLocal = "replica-local"
-	srcReplicaPeer  = "replica-peer"
-	srcPFS          = "pfs"
-)
 
 // load returns the decoded frames of a stream, charging recovery I/O. The
 // read path is a failover chain: the rank's own in-memory mirror, then
@@ -482,7 +467,6 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 		// only costs rework, which the recovery path already handles for
 		// streams that never became durable at all.
 		r.rec.CkptCorrupt(stream, consumed, len(raw))
-		r.cm.quarantine()
 		r.m.Counters["ckpt_corrupt"]++
 		r.pfs.Truncate(path, consumed)
 		if r.local != nil && r.staged[stream] {
@@ -493,7 +477,7 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 		// Direct PFS replay: charge one operation per frame.
 		d += r.pfs.Charge(p, len(frames), consumed)
 	}
-	r.accountLoad(stream, srcPFS, raw[:consumed], frames)
+	r.accountLoad(stream, trace.SourcePFS, raw[:consumed], frames)
 	return frames
 }
 
@@ -520,9 +504,9 @@ func (r *ckptReader) loadReplica(stream string) []frame {
 		// land behind garbage.
 		r.rs.truncate(stream, consumed)
 	}
-	source := srcReplicaPeer
+	source := trace.SourceReplicaPeer
 	if own {
-		source = srcReplicaLocal
+		source = trace.SourceReplicaLocal
 	}
 	r.accountLoad(stream, source, raw[:consumed], frames)
 	return frames
@@ -537,7 +521,6 @@ func (r *ckptReader) accountLoad(stream, source string, valid []byte, frames []f
 	r.m.RecoveredFrames += int64(len(frames))
 	r.rec.CkptLoad(stream, len(valid), len(frames))
 	r.rec.RecoverySource(source, len(valid), len(frames))
-	r.cm.recoveryRead(source)
 	if r.rs != nil {
 		r.rs.adopt(stream, valid)
 	}

@@ -6,182 +6,6 @@ import (
 	"ftmrmpi/internal/metrics"
 )
 
-// coreMets bundles a runner's pre-bound metric instruments. It is nil when
-// the cluster has no metrics registry; every method no-ops on a nil
-// receiver, so each instrumentation point costs one branch (the trace
-// Recorder discipline).
-type coreMets struct {
-	reg  *metrics.Registry
-	rank int
-
-	mapTask          *metrics.Histogram
-	reducePart       *metrics.Histogram
-	taskCommits      *metrics.Counter
-	recoveryAttempts *metrics.Counter
-	ckptWriteWait    *metrics.Counter
-	ckptDrainWait    *metrics.Counter
-	quarantines      *metrics.Counter
-
-	// recReads counts recovery-time checkpoint reads by failover-chain
-	// source ("replica-local", "replica-peer", "pfs"); the series are
-	// world-scoped (one per source, shared by all ranks).
-	recReads map[string]*metrics.Counter
-
-	lbIntercept *metrics.Gauge
-	lbSlope     *metrics.Gauge
-	lbResidual  *metrics.Gauge
-	lbObs       *metrics.Gauge
-
-	// user holds lazily bound user_ counters (TaskContext.AddCounter),
-	// keyed by the raw (unsanitized) counter name.
-	user map[string]*metrics.Counter
-}
-
-// bindCoreMets registers the runner-side instrument series for one rank;
-// nil registry yields nil (metrics disabled).
-func bindCoreMets(reg *metrics.Registry, rank int) *coreMets {
-	if reg == nil {
-		return nil
-	}
-	return &coreMets{
-		reg:  reg,
-		rank: rank,
-		mapTask: reg.Histogram("ftmr_map_task_seconds",
-			"Virtual-time latency of map task executions (including restores).",
-			rank, metrics.TaskSecondsBuckets),
-		reducePart: reg.Histogram("ftmr_reduce_partition_seconds",
-			"Virtual-time latency of reduce partition executions.",
-			rank, metrics.TaskSecondsBuckets),
-		taskCommits: reg.Counter("ftmr_task_commits",
-			"Task commit points (map task completions and reduce group commits).", rank),
-		recoveryAttempts: reg.Counter(metrics.MRecoveryAttempts,
-			"Distributed-recovery episodes entered.", rank),
-		ckptWriteWait: reg.Counter(metrics.MCkptWriteWait,
-			"Main-thread seconds stalled writing checkpoint frames.", rank),
-		ckptDrainWait: reg.Counter(metrics.MCkptDrainWait,
-			"Seconds waiting in end-of-phase checkpoint drain barriers.", rank),
-		quarantines: reg.Counter(metrics.MCkptQuarantines,
-			"Checkpoint streams truncated to their longest valid prefix.", rank),
-		recReads: map[string]*metrics.Counter{
-			srcReplicaLocal: reg.CounterL(metrics.MRecoveryReads,
-				"Recovery-time checkpoint stream reads by failover-chain source.",
-				"source", srcReplicaLocal),
-			srcReplicaPeer: reg.CounterL(metrics.MRecoveryReads,
-				"Recovery-time checkpoint stream reads by failover-chain source.",
-				"source", srcReplicaPeer),
-			srcPFS: reg.CounterL(metrics.MRecoveryReads,
-				"Recovery-time checkpoint stream reads by failover-chain source.",
-				"source", srcPFS),
-		},
-		lbIntercept: reg.Gauge("ftmr_lb_fit_intercept_seconds",
-			"Load-balance model intercept from the latest fit.", rank),
-		lbSlope: reg.Gauge("ftmr_lb_fit_slope_seconds_per_byte",
-			"Load-balance model slope from the latest fit.", rank),
-		lbResidual: reg.Gauge("ftmr_lb_fit_rms_residual_seconds",
-			"RMS residual of the latest load-balance fit over its observations.", rank),
-		lbObs: reg.Gauge("ftmr_lb_fit_observations",
-			"Observation count behind the latest load-balance fit.", rank),
-	}
-}
-
-// mapTaskDone records one map task execution latency and its commit.
-func (c *coreMets) mapTaskDone(sec float64) {
-	if c == nil {
-		return
-	}
-	c.mapTask.Observe(sec)
-	c.taskCommits.Inc()
-}
-
-// reducePartDone records one reduce partition latency.
-func (c *coreMets) reducePartDone(sec float64) {
-	if c == nil {
-		return
-	}
-	c.reducePart.Observe(sec)
-}
-
-// taskCommit counts one commit point (co-located with rec.TaskCommit so the
-// counter agrees with trace.Summarize task-commit counts).
-func (c *coreMets) taskCommit() {
-	if c == nil {
-		return
-	}
-	c.taskCommits.Inc()
-}
-
-// recoveryAttempt counts one recovery episode entry.
-func (c *coreMets) recoveryAttempt() {
-	if c == nil {
-		return
-	}
-	c.recoveryAttempts.Inc()
-}
-
-// ckptWrite accrues main-thread checkpoint write stall seconds.
-func (c *coreMets) ckptWrite(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.ckptWriteWait.Add(d.Seconds())
-}
-
-// ckptDrain accrues end-of-phase drain barrier seconds.
-func (c *coreMets) ckptDrain(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.ckptDrainWait.Add(d.Seconds())
-}
-
-// quarantine counts one checkpoint stream truncation.
-func (c *coreMets) quarantine() {
-	if c == nil {
-		return
-	}
-	c.quarantines.Inc()
-}
-
-// recoveryRead counts one recovery-time checkpoint read by the
-// failover-chain source that satisfied it.
-func (c *coreMets) recoveryRead(source string) {
-	if c == nil {
-		return
-	}
-	if ctr := c.recReads[source]; ctr != nil {
-		ctr.Inc()
-	}
-}
-
-// lbFit publishes the latest load-balance fit parameters.
-func (c *coreMets) lbFit(intercept, slope, rms float64, nobs int) {
-	if c == nil {
-		return
-	}
-	c.lbIntercept.Set(intercept)
-	c.lbSlope.Set(slope)
-	c.lbResidual.Set(rms)
-	c.lbObs.Set(float64(nobs))
-}
-
-// userAdd routes a TaskContext.AddCounter delta into a user_ prefixed
-// counter series, binding (and caching) the series on first use.
-func (c *coreMets) userAdd(name string, delta int64) {
-	if c == nil {
-		return
-	}
-	ctr, ok := c.user[name]
-	if !ok {
-		if c.user == nil {
-			c.user = make(map[string]*metrics.Counter)
-		}
-		ctr = c.reg.Counter("user_"+metrics.SanitizeName(name),
-			"User-defined counter (TaskContext.AddCounter).", c.rank)
-		c.user[name] = ctr
-	}
-	ctr.Add(float64(delta))
-}
-
 // rankMirror is the delta state behind one mirrorRankMetrics hook.
 type rankMirror struct {
 	m    *RankMetrics

@@ -68,9 +68,7 @@ type runner struct {
 	comm *mpi.Comm
 	p    *vtime.Proc
 	m    *RankMetrics
-	rec  *trace.Recorder       // nil when tracing is disabled
-	cm   *coreMets             // nil when metrics are disabled; same one-branch discipline
-	ip   *introspect.RankProbe // nil when introspection is disabled; same one-branch discipline
+	rec  *trace.Recorder // nil when every observation plane is disabled
 
 	world0    []int // world ranks participating at job start
 	home      []int // hash slot -> world rank (world0, or the initial acting primaries)
@@ -115,7 +113,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		world0[i] = c.WorldRank(i)
 	}
 	m := newRankMetrics(c.Self().WorldRank())
-	cm := bindCoreMets(j.clus.Metrics, c.Self().WorldRank())
+	c.Self().Recorder().BindRunner()
 	mirrorRankMetrics(j.clus.Metrics, m, c.Self().WorldRank())
 	r := &runner{
 		job:        j,
@@ -124,8 +122,6 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		p:          c.Proc(),
 		m:          m,
 		rec:        c.Self().Recorder(),
-		cm:         cm,
-		ip:         c.Self().Probe(),
 		world0:     world0,
 		home:       world0,
 		mapOut:     make(map[int]*kvbuf.KV),
@@ -154,8 +150,6 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		pfs:     clus.PFS,
 		m:       m,
 		rec:     r.rec,
-		cm:      cm,
-		ip:      r.ip,
 		agent:   &r.lb,
 	}
 	if local == nil {
@@ -180,7 +174,6 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		prefetch: spec.Prefetch && local != nil,
 		m:        m,
 		rec:      r.rec,
-		cm:       cm,
 		staged:   make(map[string]bool),
 	}
 	if spec.ReplicaK > 0 && r.ck.enabled {
@@ -251,7 +244,6 @@ func (r *runner) run() error {
 		r.job.h.notifyPhase(r.myWorld(), ph)
 		t0 := r.p.Now()
 		r.rec.PhaseBegin(string(ph))
-		r.ip.SetPhase(string(ph))
 		var err error
 		switch r.phase {
 		case phInit:
@@ -400,8 +392,8 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 	t0 := r.p.Now()
 	mirror := r.mirroring()
 	if !mirror {
-		r.ip.SetTask(id)
-		defer r.ip.SetTask(introspect.NoValue)
+		r.rec.SetTask(id)
+		defer r.rec.SetTask(introspect.NoValue)
 	}
 	task := r.tt.tasks[id]
 	ctx := &TaskContext{proc: r.p, run: r}
@@ -453,7 +445,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 				r.lb.observe(task.Chunk.Size, (r.p.Now() - t0).Seconds(), r.p.Now())
 			}
 			r.rec.TaskCommit("map", id, int64(restoredRecs))
-			r.cm.mapTaskDone((r.p.Now() - t0).Seconds())
+			r.rec.TaskSeconds("map", r.p.Now()-t0)
 			return nil
 		}
 	}
@@ -578,7 +570,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 	r.lb.observe(task.Chunk.Size, (r.p.Now() - t0).Seconds(), r.p.Now())
 	if !mirror {
 		r.rec.TaskCommit("map", id, int64(rec))
-		r.cm.mapTaskDone((r.p.Now() - t0).Seconds())
+		r.rec.TaskSeconds("map", r.p.Now()-t0)
 	}
 	return nil
 }
@@ -963,7 +955,7 @@ func (r *runner) phaseReduce() error {
 			return err
 		}
 		if !mirror {
-			r.cm.reducePartDone((r.p.Now() - pt0).Seconds())
+			r.rec.TaskSeconds("reduce", r.p.Now()-pt0)
 		}
 	}
 	if mirror {
@@ -991,7 +983,6 @@ func (r *runner) commitReduce(part int, g uint32, out []byte) error {
 		r.ck.write(r.p, partStream(part), fr, 1)
 	}
 	r.rec.TaskCommit("reduce", part, int64(g))
-	r.cm.taskCommit()
 	r.pushShadowSync(part, g)
 	return nil
 }
@@ -1044,7 +1035,7 @@ func drErrHandler(c *mpi.Comm, err error) {
 // must be restartable, not merely runnable.
 func (r *runner) recoverDR(retry bool) (err error) {
 	t0 := r.p.Now()
-	r.cm.recoveryAttempt()
+	r.rec.RecoveryAttempt()
 	// Surface the recovery window to phase observers (the failure injector
 	// uses this to aim kills *inside* recovery).
 	r.job.h.notifyPhase(r.myWorld(), PhaseRecovery)
@@ -1582,8 +1573,7 @@ func (r *runner) encodeState() []byte {
 		a, b = r.lb.fitTrace(r.p.Now())
 		debt = b * partDebtCPUFactor * r.pendingDebtBytes()
 	}
-	r.rec.LBFit(r.lb.kind.String(), a, b, len(r.lb.obs))
-	r.cm.lbFit(a, b, r.lb.residualRMS(a, b), len(r.lb.obs))
+	r.rec.LBFit(r.lb.kind.String(), a, b, r.lb.residualRMS(a, b), len(r.lb.obs))
 	var buf []byte
 	var tmp [8]byte
 	buf = append(buf, byte(r.phase))

@@ -11,27 +11,16 @@ import (
 
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/core"
-	"ftmrmpi/internal/metrics"
 	"ftmrmpi/internal/mpi"
 	"ftmrmpi/internal/storage"
+	"ftmrmpi/internal/trace"
 )
 
-// countInjected bumps the world-scoped injected-failure counter for one
-// fault kind ("kill", "slow"). Family getters are idempotent, so binding at
-// the injection site keeps the injectors registry-optional.
-func countInjected(reg *metrics.Registry, kind string) {
-	if reg == nil {
-		return
-	}
-	reg.CounterL("ftmr_failures_injected",
-		"Process-level faults injected, by kind.", "kind", kind).Inc()
-}
-
-// inject records the injector's decision on the world trace track (if
-// tracing is on) and fires the kill.
+// inject records the injector's decision on the world track (trace event
+// and injected-failure counter, for whichever planes are on) and fires the
+// kill.
 func inject(w *mpi.World, rank int) {
-	w.Clus.Trace.Global().FailureInject(rank)
-	countInjected(w.Clus.Metrics, "kill")
+	w.Clus.Recorder(trace.GlobalRank).FailureInject(rank)
 	w.Kill(rank)
 }
 
@@ -60,8 +49,7 @@ func SlowRank(w *mpi.World, rank int, factor float64, at time.Duration) {
 		if r == nil || !r.Alive() {
 			return
 		}
-		w.Clus.Trace.Global().SlowRank(rank, factor)
-		countInjected(w.Clus.Metrics, "slow")
+		w.Clus.Recorder(trace.GlobalRank).SlowRank(rank, factor)
 		r.SetComputeScale(factor)
 	})
 }
@@ -201,7 +189,7 @@ func PFSOutage(clus *cluster.Cluster, begin, end time.Duration) {
 		clus.PFS.Faults.BindMetrics(clus.Metrics, clus.PFS.Name)
 	}
 	clus.PFS.Faults.AddOutage(storage.OutageWindow{Begin: begin, End: end})
-	countInjected(clus.Metrics, "outage")
+	clus.Recorder(trace.GlobalRank).InjectOutage()
 }
 
 // Continuous kills one random live rank every interval, starting after the

@@ -185,20 +185,13 @@ func (rp *RankProbe) ExitColl() {
 	}
 }
 
-// EnterDrain records entry into a checkpoint drain barrier.
-func (rp *RankProbe) EnterDrain() {
+// SetDrain records entry into (true) or exit from (false) a checkpoint
+// drain barrier.
+func (rp *RankProbe) SetDrain(in bool) {
 	if rp == nil {
 		return
 	}
-	rp.drain = true
-}
-
-// ExitDrain records leaving the checkpoint drain barrier.
-func (rp *RankProbe) ExitDrain() {
-	if rp == nil {
-		return
-	}
-	rp.drain = false
+	rp.drain = in
 }
 
 // inColl reports the current collective annotation, if any.
@@ -266,10 +259,10 @@ func New(sim *vtime.Sim, interval time.Duration) *Plane {
 }
 
 // RankProbe returns (allocating on first use) the annotation cell for a
-// world rank. On a nil plane it returns nil, which every probe method and
-// binding site accepts.
+// world rank. On a nil plane, or for a negative rank (the trace's world
+// track), it returns nil, which every probe method and binding site accepts.
 func (pl *Plane) RankProbe(worldRank int) *RankProbe {
-	if pl == nil {
+	if pl == nil || worldRank < 0 {
 		return nil
 	}
 	for len(pl.probes) <= worldRank {
@@ -291,24 +284,14 @@ func (pl *Plane) AttachWorld(v WorldView) {
 	pl.worlds = append(pl.worlds, v)
 }
 
-// Start arms the capture cadence: a self-re-arming scheduler callback that
-// captures a snapshot every interval of virtual time and disarms when no
-// other events remain (so it never keeps the simulation alive artificially).
-// No-op on a nil plane.
+// Start arms the capture cadence: a snapshot every interval of virtual time
+// while other work remains (vtime.Sim.Every: the cadence never keeps the
+// simulation alive). No-op on a nil plane.
 func (pl *Plane) Start() {
 	if pl == nil {
 		return
 	}
-	pl.arm()
-}
-
-func (pl *Plane) arm() {
-	pl.sim.After(pl.interval, func() {
-		pl.capture(false)
-		if pl.sim.ActiveEvents() > 0 {
-			pl.arm()
-		}
-	})
+	pl.sim.Every(pl.interval, func() { pl.capture(false) })
 }
 
 // Final captures one post-run snapshot. Call it after Sim.Run returns: if

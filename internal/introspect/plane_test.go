@@ -248,6 +248,6 @@ func TestNilPlaneAndProbe(t *testing.T) {
 	rp.SetTask(1)
 	rp.EnterColl("barrier", 0, 0)
 	rp.ExitColl()
-	rp.EnterDrain()
-	rp.ExitDrain()
+	rp.SetDrain(true)
+	rp.SetDrain(false)
 }

@@ -75,10 +75,14 @@ func finalSnapshot(clus *cluster.Cluster, h *core.Handle) metrics.Snapshot {
 }
 
 // chaosExposition runs one seeded chaos campaign (random kills plus storage
-// faults on every tier) and returns the final exposition bytes.
-func chaosExposition(t *testing.T, seed int64, window time.Duration) []byte {
+// faults on every tier) and returns the final exposition bytes. Untraced,
+// the registry is fed by Recorders that carry no event ring.
+func chaosExposition(t *testing.T, seed int64, window time.Duration, traced bool) []byte {
 	t.Helper()
 	clus := intCluster()
+	if !traced {
+		clus.Trace = nil
+	}
 	p := intCorpus()
 	workloads.GenCorpus(clus, "in/chaos", p)
 	failure.StorageFaults(clus, seed)
@@ -100,8 +104,9 @@ func chaosExposition(t *testing.T, seed int64, window time.Duration) []byte {
 
 // TestChaosSnapshotDeterminism runs the same seeded chaos campaign twice and
 // requires byte-identical OpenMetrics exposition — the metrics plane must
-// not perturb or observe anything outside virtual time. The export must also
-// parse back cleanly.
+// not perturb or observe anything outside virtual time. A third run with
+// tracing off must export the same bytes: the registry does not depend on
+// the trace plane. The export must also parse back cleanly.
 func TestChaosSnapshotDeterminism(t *testing.T) {
 	// Failure-free baseline fixes the kill window, like the chaos harness.
 	base := intCluster()
@@ -114,10 +119,13 @@ func TestChaosSnapshotDeterminism(t *testing.T) {
 	}
 	window := base.Sim.Now() * 6 / 10
 
-	a := chaosExposition(t, 7, window)
-	b := chaosExposition(t, 7, window)
+	a := chaosExposition(t, 7, window, true)
+	b := chaosExposition(t, 7, window, true)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-seed chaos expositions differ:\n--- A ---\n%s\n--- B ---\n%s", a, b)
+	}
+	if c := chaosExposition(t, 7, window, false); !bytes.Equal(a, c) {
+		t.Fatalf("untraced chaos exposition differs:\n--- A ---\n%s\n--- C ---\n%s", a, c)
 	}
 	snap, err := metrics.ParseOpenMetrics(bytes.NewReader(a))
 	if err != nil {
@@ -146,12 +154,13 @@ func secondsEq(got float64, want time.Duration) bool {
 	return math.Abs(got-want.Seconds()) < 1e-9
 }
 
-// TestAggregatesAgreeWithRankMetricsAndTrace runs a clean (failure-free)
-// wordcount and checks every quantity the metrics plane shares with the two
-// older observability surfaces: the RankMetrics accumulators on the Result
-// and the trace summarizer. The registry is populated by independent
-// mechanisms (inline instruments and delta-mirror hooks), so agreement here
-// means the three planes cannot silently drift apart.
+// TestAggregatesAgreeWithRankMetricsAndTrace checks every quantity the
+// metrics plane shares with the two older observability surfaces. On a
+// clean (failure-free) wordcount it compares against the RankMetrics
+// accumulators on the Result, which reach the registry through the
+// delta-mirror hooks. Against the trace summarizer — which sees the same
+// Recorder calls as the registry — it checks the clean run and two
+// failover runs.
 func TestAggregatesAgreeWithRankMetricsAndTrace(t *testing.T) {
 	clus := intCluster()
 	p := stdCorpus()
@@ -221,30 +230,58 @@ func TestAggregatesAgreeWithRankMetricsAndTrace(t *testing.T) {
 		}
 	}
 
-	// Versus the trace summarizer, on the quantities both planes observe.
-	s := trace.Summarize(clus.Trace.Events())
-	var wantSends, wantSendBytes, wantRecvs, wantRecvBytes, wantCommits int64
-	for r := 0; r < intParts; r++ {
-		rs := s.Rank(r)
-		wantSends += rs.Sends
-		wantSendBytes += rs.SendBytes
-		wantRecvs += rs.Recvs
-		wantRecvBytes += rs.RecvBytes
-		wantCommits += rs.TaskCommits
-	}
+	// Versus the trace summarizer, on the quantities both planes observe —
+	// on this clean run and on failover runs under both execution models
+	// (rank 3 killed in the map phase), where shadow-mirror copies are sends
+	// on both planes.
 	for _, tc := range []struct {
-		family string
-		want   int64
+		name  string
+		model core.FTModel
+		kill  bool
 	}{
-		{"ftmr_mpi_sends", wantSends},
-		{"ftmr_mpi_send_bytes", wantSendBytes},
-		{"ftmr_mpi_recvs", wantRecvs},
-		{"ftmr_mpi_recv_bytes", wantRecvBytes},
-		{"ftmr_task_commits", wantCommits},
+		{"clean", core.FTModelCR, false},
+		{"cr-kill", core.FTModelCR, true},
+		{"replicate-kill", core.FTModelReplicate, true},
 	} {
-		if got := snap.Total(tc.family); got != float64(tc.want) {
-			t.Errorf("%s: registry %v, trace %d", tc.family, got, tc.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			clus, snap := clus, snap
+			if tc.kill {
+				clus = intCluster()
+				workloads.GenCorpus(clus, "in/agree", p)
+				spec := stdSpec("agree", p)
+				spec.FTModel = tc.model
+				h := core.RunSingle(clus, spec)
+				failure.KillOnPhase(h, 3, core.PhaseMap, time.Millisecond)
+				clus.Sim.Run()
+				if res := h.Result(); res == nil || res.Aborted {
+					t.Fatalf("run aborted: %+v", res)
+				}
+				snap = finalSnapshot(clus, h)
+			}
+			s := trace.Summarize(clus.Trace.Events())
+			var wantSends, wantSendBytes, wantRecvs, wantRecvBytes, wantCommits int64
+			for _, rs := range s.Ranks {
+				wantSends += rs.Sends
+				wantSendBytes += rs.SendBytes
+				wantRecvs += rs.Recvs
+				wantRecvBytes += rs.RecvBytes
+				wantCommits += rs.TaskCommits
+			}
+			for _, tc := range []struct {
+				family string
+				want   int64
+			}{
+				{"ftmr_mpi_sends", wantSends},
+				{"ftmr_mpi_send_bytes", wantSendBytes},
+				{"ftmr_mpi_recvs", wantRecvs},
+				{"ftmr_mpi_recv_bytes", wantRecvBytes},
+				{"ftmr_task_commits", wantCommits},
+			} {
+				if got := snap.Total(tc.family); got != float64(tc.want) {
+					t.Errorf("%s: registry %v, trace %d", tc.family, got, tc.want)
+				}
+			}
+		})
 	}
 
 	// A clean run must evaluate healthy and undegraded with defaults.

@@ -92,7 +92,7 @@ type parseFamily struct {
 	series  map[string]*parseSeries
 	order   []string
 	bounds  []float64
-	boundsK map[string]bool // bounds seen per series, to keep first series' order
+	boundsK map[string]bool // bounds seen, keyed by their written form
 }
 
 // parseSeries accumulates one series while parsing.
@@ -105,7 +105,10 @@ type parseSeries struct {
 // practical subset of the OpenMetrics format: single optional label, no
 // escape sequences in label values, exemplar-free) back into a Snapshot.
 // The synthetic ftmr_virtual_time_seconds gauge becomes Snapshot.VTSeconds.
-// A write→parse→write round trip is byte-identical.
+// A write→parse→write round trip is byte-identical, and every snapshot it
+// returns can be written: input with two series labels on one sample, or a
+// histogram series whose bucket lines do not cover every bound of its
+// family plus +Inf, is rejected.
 func ParseOpenMetrics(r io.Reader) (Snapshot, error) {
 	snap := Snapshot{}
 	fams := map[string]*parseFamily{}
@@ -180,6 +183,10 @@ func ParseOpenMetrics(r io.Reader) (Snapshot, error) {
 		for _, lv := range pf.order {
 			ps := pf.series[lv]
 			if pf.fs.Kind == KindHistogram {
+				if len(ps.cum) != len(pf.bounds)+1 {
+					return snap, fmt.Errorf("metrics: histogram %q series %q has %d buckets, want %d",
+						name, lv, len(ps.cum), len(pf.bounds)+1)
+				}
 				ps.ss.Counts = decumulate(ps.cum)
 			}
 			pf.fs.Series = append(pf.fs.Series, ps.ss)
@@ -239,6 +246,9 @@ func addSample(fams map[string]*parseFamily, name string, labels map[string]stri
 		if k == "le" {
 			continue
 		}
+		if labelKey != "" {
+			return fmt.Errorf("sample %q has more than one series label", name)
+		}
 		labelKey, labelVal = k, v
 	}
 	ps := pf.getParseSeries(labelKey, labelVal)
@@ -251,16 +261,14 @@ func addSample(fams map[string]*parseFamily, name string, labels map[string]stri
 		if !ok {
 			return fmt.Errorf("bucket sample %q missing le label", name)
 		}
-		if le != "+Inf" {
-			bound, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				return fmt.Errorf("bad le value %q", le)
-			}
-			if !pf.boundsK[le] {
-				pf.boundsK[le] = true
-				pf.bounds = append(pf.bounds, bound)
-				sort.Float64s(pf.bounds)
-			}
+		bound, err := strconv.ParseFloat(le, 64)
+		if err != nil {
+			return fmt.Errorf("bad le value %q", le)
+		}
+		if key := formatValue(bound); !math.IsInf(bound, 1) && !pf.boundsK[key] {
+			pf.boundsK[key] = true
+			pf.bounds = append(pf.bounds, bound)
+			sort.Float64s(pf.bounds)
 		}
 		ps.cum = append(ps.cum, uint64(val))
 	case pf.fs.Kind == KindHistogram && part == "_count":

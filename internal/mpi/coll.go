@@ -28,10 +28,10 @@ func (c *Comm) nextSeq() int {
 
 // peekSeq returns the sequence number the next collective on this
 // communicator will consume, without consuming it. Trace spans are stamped
-// with (communicator id, peeked seq): every participant of one collective
-// instance consumes the same seq — the tag scheme depends on it — so the
-// pair identifies the instance exactly, including for wrapper collectives
-// (Allreduce, Dup, ...) whose synchronization happens in an inner call.
+// with (communicator id, seq): every participant of one collective instance
+// consumes the same seq — the tag scheme depends on it — so the pair
+// identifies the instance exactly. Wrapper collectives (Allreduce, Dup, ...)
+// synchronize in an inner call, so they stamp the peeked seq.
 func (c *Comm) peekSeq() int { return c.st.opSeq[c.rank] }
 
 // treeParent returns the parent of rank vr (root-relative virtual rank) in a
@@ -70,17 +70,9 @@ func prank(vr, root, n int) int { return (vr + root) % n }
 // Barrier blocks until every rank in the communicator has entered it. On
 // failure it raises an error through the error handler.
 func (c *Comm) Barrier() error {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("barrier", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("barrier", c.st.id, seq)
-		defer rec.CollEndN("barrier", c.st.id, seq)
-	}
 	seq := c.nextSeq()
+	c.r.rec.CollBeginN("barrier", c.st.id, seq)
+	defer c.r.rec.CollEndN("barrier", c.st.id, seq)
 	if err := c.gatherTree(seq, 0, nil, nil); err != nil {
 		return c.raise(err)
 	}
@@ -93,17 +85,9 @@ func (c *Comm) Barrier() error {
 // Bcast distributes root's data to every rank and returns it. All ranks
 // must pass the same root; non-root ranks' data argument is ignored.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("bcast", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("bcast", c.st.id, seq)
-		defer rec.CollEndN("bcast", c.st.id, seq)
-	}
 	seq := c.nextSeq()
+	c.r.rec.CollBeginN("bcast", c.st.id, seq)
+	defer c.r.rec.CollEndN("bcast", c.st.id, seq)
 	out, err := c.bcastTree(seq, root, data)
 	return out, c.raise(err)
 }
@@ -130,17 +114,9 @@ func (c *Comm) bcastTree(seq, root int, data []byte) ([]byte, error) {
 // Gather collects each rank's data at root. At root, the returned slice is
 // indexed by communicator rank; other ranks get nil.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("gather", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("gather", c.st.id, seq)
-		defer rec.CollEndN("gather", c.st.id, seq)
-	}
 	seq := c.nextSeq()
+	c.r.rec.CollBeginN("gather", c.st.id, seq)
+	defer c.r.rec.CollEndN("gather", c.st.id, seq)
 	var out [][]byte
 	if c.rank == root {
 		out = make([][]byte, c.Size())
@@ -185,17 +161,9 @@ func (c *Comm) gatherTree(seq, root int, data []byte, out [][]byte) error {
 // Allgather collects every rank's data on every rank, indexed by
 // communicator rank.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("allgather", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("allgather", c.st.id, seq)
-		defer rec.CollEndN("allgather", c.st.id, seq)
-	}
 	seq := c.nextSeq()
+	c.r.rec.CollBeginN("allgather", c.st.id, seq)
+	defer c.r.rec.CollEndN("allgather", c.st.id, seq)
 	n := c.Size()
 	var gathered [][]byte
 	if c.rank == 0 {
@@ -238,16 +206,9 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 // AllreduceInt64 folds one int64 per rank with op (associative and
 // commutative) and returns the result on every rank.
 func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) (int64, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("allreduce", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("allreduce", c.st.id, seq)
-		defer rec.CollEndN("allreduce", c.st.id, seq)
-	}
+	seq := c.peekSeq()
+	c.r.rec.CollBeginN("allreduce", c.st.id, seq)
+	defer c.r.rec.CollEndN("allreduce", c.st.id, seq)
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], uint64(v))
 	all, err := c.Allgather(buf[:])
@@ -282,17 +243,9 @@ func (c *Comm) Alltoallv(bufs [][]byte) ([][]byte, error) {
 	if len(bufs) != n {
 		return nil, fmt.Errorf("mpi: Alltoallv needs %d buffers, got %d", n, len(bufs))
 	}
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("alltoallv", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("alltoallv", c.st.id, seq)
-		defer rec.CollEndN("alltoallv", c.st.id, seq)
-	}
 	seq := c.nextSeq()
+	c.r.rec.CollBeginN("alltoallv", c.st.id, seq)
+	defer c.r.rec.CollEndN("alltoallv", c.st.id, seq)
 	out := make([][]byte, n)
 	out[c.rank] = bufs[c.rank]
 	for step := 1; step < n; step++ {

@@ -11,16 +11,9 @@ import (
 // ReduceInt64 folds one int64 per rank with op at root. Non-root ranks
 // receive 0.
 func (c *Comm) ReduceInt64(root int, v int64, op func(a, b int64) int64) (int64, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("reduce", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("reduce", c.st.id, seq)
-		defer rec.CollEndN("reduce", c.st.id, seq)
-	}
+	seq := c.peekSeq()
+	c.r.rec.CollBeginN("reduce", c.st.id, seq)
+	defer c.r.rec.CollEndN("reduce", c.st.id, seq)
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], uint64(v))
 	all, err := c.Gather(root, buf[:])
@@ -44,17 +37,9 @@ func (c *Comm) ReduceInt64(root int, v int64, op func(a, b int64) int64) (int64,
 // caller's piece. Non-root ranks pass nil. It runs over the same binomial
 // tree as Bcast, forwarding each subtree's bundle.
 func (c *Comm) Scatter(root int, data [][]byte) ([]byte, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("scatter", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("scatter", c.st.id, seq)
-		defer rec.CollEndN("scatter", c.st.id, seq)
-	}
 	seq := c.nextSeq()
+	c.r.rec.CollBeginN("scatter", c.st.id, seq)
+	defer c.r.rec.CollEndN("scatter", c.st.id, seq)
 	out, err := c.scatterTree(seq, root, data)
 	return out, c.raise(err)
 }
@@ -111,17 +96,9 @@ func subtreeRanks(vr, n int) []int {
 // ScanInt64 computes the inclusive prefix reduction: rank i receives
 // op(v₀, …, vᵢ). Implemented as a ring pass.
 func (c *Comm) ScanInt64(v int64, op func(a, b int64) int64) (int64, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("scan", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("scan", c.st.id, seq)
-		defer rec.CollEndN("scan", c.st.id, seq)
-	}
 	seq := c.nextSeq()
+	c.r.rec.CollBeginN("scan", c.st.id, seq)
+	defer c.r.rec.CollEndN("scan", c.st.id, seq)
 	acc := v
 	var buf [8]byte
 	if c.rank > 0 {
@@ -198,16 +175,9 @@ func (c *Comm) Probe(src, tag int) (msgSrc, msgTag, size int, err error) {
 // (MPI_UNDEFINED) yields a nil communicator. Collective over all live
 // ranks.
 func (c *Comm) Split(color, key int) (*Comm, error) {
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("split", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("split", c.st.id, seq)
-		defer rec.CollEndN("split", c.st.id, seq)
-	}
+	seq := c.peekSeq()
+	c.r.rec.CollBeginN("split", c.st.id, seq)
+	defer c.r.rec.CollEndN("split", c.st.id, seq)
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[:8], uint64(int64(color)))
 	binary.BigEndian.PutUint64(buf[8:], uint64(int64(key)))

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"ftmrmpi/internal/cluster"
-	"ftmrmpi/internal/introspect"
 	"ftmrmpi/internal/trace"
 	"ftmrmpi/internal/vtime"
 )
@@ -99,7 +98,7 @@ type World struct {
 	// Sim is the simulator the job's ranks run on.
 	Sim *vtime.Sim
 	// Clus is the cluster providing nodes, links, and storage.
-	Clus *cluster.Cluster
+	Clus    *cluster.Cluster
 	n       int
 	ranks   []*Rank
 	comms   []*commState
@@ -125,24 +124,15 @@ type Rank struct {
 	// computeScale stretches Compute charges when > 0 (straggler
 	// injection); zero means unscaled, keeping the hot path branch-cheap.
 	computeScale float64
-	// rec is the rank's trace recorder; nil when tracing is disabled, so
-	// every hot-path instrumentation point costs a single nil branch.
+	// rec is the rank's observation handle (trace, metrics and
+	// introspection planes); nil when all are disabled, so every hot-path
+	// instrumentation point costs a single nil branch.
 	rec *trace.Recorder
-	// met is the rank's metrics bundle; nil when metrics are disabled, with
-	// the same one-branch discipline as rec.
-	met *rankMets
-	// insp is the rank's introspection annotation cell; nil when the
-	// introspection plane is disabled, with the same one-branch discipline
-	// as rec and met.
-	insp *introspect.RankProbe
 }
 
-// Recorder returns the rank's trace recorder (nil when tracing is off).
+// Recorder returns the rank's observation handle (nil when the trace,
+// metrics and introspection planes are all off).
 func (r *Rank) Recorder() *trace.Recorder { return r.rec }
-
-// Probe returns the rank's introspection annotation cell (nil when the
-// introspection plane is off; every probe method accepts a nil receiver).
-func (r *Rank) Probe() *introspect.RankProbe { return r.insp }
 
 // Proc returns the rank's simulated process.
 func (r *Rank) Proc() *vtime.Proc { return r.proc }
@@ -227,8 +217,8 @@ func Launch(clus *cluster.Cluster, n int, main func(c *Comm)) *World {
 	for i := 0; i < n; i++ {
 		i := i
 		r := &Rank{w: w, world: i, cpu: clus.CoreOf(i), node: clus.NodeOf(i), alive: true,
-			rec: clus.Trace.Rank(i), met: bindRankMets(clus.Metrics, i),
-			insp: clus.Introspect.RankProbe(i)}
+			rec: clus.Recorder(i)}
+		r.rec.BindMPI()
 		w.ranks = append(w.ranks, r)
 		r.proc = clus.Sim.Spawn(fmt.Sprintf("rank%d", i), func(p *vtime.Proc) {
 			defer func() { w.done++ }()
@@ -468,7 +458,6 @@ func (c *Comm) send(dest, tag int, data []byte) (uint64, error) {
 	}
 	st.w.msgID++
 	id := st.w.msgID
-	c.r.met.sendDone(len(data))
 	if rec := c.r.rec; rec != nil {
 		rec.SendBegin(dworld, tag, len(data))
 		defer rec.SendEnd(dworld, tag, len(data), id)
@@ -510,7 +499,6 @@ func (c *Comm) sendMirror(dest, tag int, data []byte, flow uint64) error {
 	if !st.w.ranks[dworld].alive {
 		return &ProcFailedError{Ranks: []int{dworld}}
 	}
-	c.r.met.sendDone(len(data))
 	if rec := c.r.rec; rec != nil {
 		defer rec.ShadowMirror(dworld, tag, len(data), flow)
 	}
@@ -561,7 +549,6 @@ func (c *Comm) recv(src, tag int) (*Message, error) {
 	}
 	box := st.boxes[c.rank]
 	if m := box.matchBuffered(src, tag); m != nil {
-		c.r.met.recvDone(len(m.Data))
 		if rec != nil {
 			rec.RecvBegin(srcWorld, tag)
 			rec.RecvEnd(srcWorld, tag, len(m.Data), m.id)
@@ -571,31 +558,22 @@ func (c *Comm) recv(src, tag int) (*Message, error) {
 	if err := c.failedSourceErr(src); err != nil {
 		return nil, err
 	}
-	if rec != nil {
-		rec.RecvBegin(srcWorld, tag)
-	}
+	rec.RecvBegin(srcWorld, tag)
 	rw := &recvWait{p: c.r.proc, src: src, tag: tag}
 	box.addWaiter(rw)
 	for !rw.done {
 		c.r.proc.Park()
 		if st.w.aborted && !rw.done {
 			box.unwait(rw)
-			if rec != nil {
-				rec.RecvEnd(srcWorld, tag, 0, 0)
-			}
-			return nil, ErrAborted
+			rw.err = ErrAborted
+			break
 		}
 	}
 	if rw.err != nil {
-		if rec != nil {
-			rec.RecvEnd(srcWorld, tag, 0, 0)
-		}
+		rec.RecvEnd(srcWorld, tag, 0, 0)
 		return nil, rw.err
 	}
-	c.r.met.recvDone(len(rw.msg.Data))
-	if rec != nil {
-		rec.RecvEnd(srcWorld, tag, len(rw.msg.Data), rw.msg.id)
-	}
+	rec.RecvEnd(srcWorld, tag, len(rw.msg.Data), rw.msg.id)
 	return rw.msg, nil
 }
 
@@ -607,7 +585,6 @@ func (c *Comm) TryRecv(src, tag int) (*Message, bool, error) {
 		return nil, false, c.raise(ErrRevoked)
 	}
 	if m := st.boxes[c.rank].matchBuffered(src, tag); m != nil {
-		c.r.met.recvDone(len(m.Data))
 		if rec := c.r.rec; rec != nil {
 			srcWorld := AnySource
 			if src != AnySource {
@@ -659,16 +636,9 @@ func (c *Comm) Dup() (*Comm, error) {
 	// ranks find it by (parent communicator, per-rank duplication epoch) —
 	// every rank performs the same sequence of Dup calls on a communicator,
 	// so the epochs agree. A barrier provides the synchronization point.
-	c.r.met.collInc()
-	if ip := c.r.insp; ip != nil {
-		ip.EnterColl("dup", c.st.id, c.peekSeq())
-		defer ip.ExitColl()
-	}
-	if rec := c.r.rec; rec != nil {
-		seq := c.peekSeq()
-		rec.CollBeginN("dup", c.st.id, seq)
-		defer rec.CollEndN("dup", c.st.id, seq)
-	}
+	seq := c.peekSeq()
+	c.r.rec.CollBeginN("dup", c.st.id, seq)
+	defer c.r.rec.CollEndN("dup", c.st.id, seq)
 	if err := c.Barrier(); err != nil {
 		return nil, err
 	}

@@ -31,7 +31,6 @@ import (
 // be interrupted again.
 func (c *Comm) Revoke() error {
 	st := c.st
-	c.r.met.revokeInc()
 	if st.revoked {
 		c.r.rec.Revoke("re-initiate")
 	} else {
@@ -103,7 +102,6 @@ type shrinkWait struct {
 // and restart its recovery rather than proceed on a half-agreed membership.
 func (c *Comm) Shrink() (*Comm, error) {
 	st := c.st
-	c.r.met.shrinkInc()
 	c.r.rec.ShrinkBegin(len(st.group))
 	if st.shrink == nil || st.shrink.done {
 		st.shrink = &shrinkOp{arrived: make(map[int]bool)}
@@ -121,7 +119,7 @@ func (c *Comm) Shrink() (*Comm, error) {
 		return nil, w.err
 	}
 	// Agreement cost: a few log₂(P) latency rounds.
-	c.r.rec.AgreeBegin(0)
+	c.r.rec.ShrinkAgreeBegin()
 	rounds := 2 * int(math.Ceil(math.Log2(float64(len(st.group))+1)))
 	c.r.proc.Sleep(time.Duration(rounds) * st.w.Clus.Cfg.NICLatency)
 	c.r.rec.AgreeEnd(0)
@@ -199,7 +197,6 @@ type agreeWait struct {
 // processes fail during the operation.
 func (c *Comm) Agree(flag int) (int, error) {
 	st := c.st
-	c.r.met.agreeInc()
 	c.r.rec.AgreeBegin(flag)
 	if st.agree == nil || st.agree.done {
 		st.agree = &agreeOp{arrived: make(map[int]bool), flags: ^0}

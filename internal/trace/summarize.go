@@ -22,8 +22,10 @@ type RankSummary struct {
 	Recoveries   int
 	RecoveryTime time.Duration // summed recovery span time (virtual)
 
-	// Point-to-point and collective activity.
-	Sends, Recvs         int64         // completed send.end / recv.end events
+	// Point-to-point and collective activity. Sends counts send.end and
+	// shadow.mirror events: a mirror copy is a second transfer of the same
+	// message (replication execution model), so it costs a send.
+	Sends, Recvs         int64         // send.end + shadow.mirror / recv.end events
 	SendBytes, RecvBytes int64         // payload bytes over those events
 	CollTime             time.Duration // top-level collective spans only
 
@@ -126,7 +128,7 @@ func Summarize(events []Event) *Summary {
 				rs.RecoveryTime += ev.VT - st.recoveryStart
 				st.recoveryOpen = false
 			}
-		case KindSendEnd:
+		case KindSendEnd, KindShadowMirror:
 			rs.Sends++
 			rs.SendBytes += ev.C
 		case KindRecvEnd:

@@ -21,15 +21,20 @@
 // is versioned (SchemaVersion); DESIGN.md §"Trace wire format v2" is the
 // field-by-field contract, pinned by the golden fixtures in testdata/.
 //
-// Tracing is strictly opt-in and nil-safe: every Recorder method is a no-op
-// on a nil receiver, and a nil *Tracer hands out nil Recorders, so the
-// disabled hot path costs exactly one pointer-nil branch (verified by
-// BenchmarkTracerOverhead*).
+// The Recorder is also each rank's one observation handle: every
+// instrumented fact is one Recorder call, which feeds whichever planes are
+// attached — this package's event ring, the rank's metrics registry series
+// and its introspection probe. Observation is strictly opt-in and nil-safe:
+// every Recorder method is a no-op on a nil receiver, a nil *Tracer hands out
+// nil Recorders, and a rank's Recorder is nil only when all three planes are
+// off, so the disabled hot path costs exactly one pointer-nil branch
+// (verified by BenchmarkTracerOverhead*).
 package trace
 
 import (
 	"time"
 
+	"ftmrmpi/internal/introspect"
 	"ftmrmpi/internal/vtime"
 )
 
@@ -270,13 +275,17 @@ func (t *Tracer) Rank(rank int) *Recorder {
 func (t *Tracer) Global() *Recorder { return t.Rank(GlobalRank) }
 
 // Ranks returns the ranks that have recorders, ascending (GlobalRank first).
+// The world track counts only once it has recorded an event: a fact that
+// reaches only the registry (InjectOutage) must not add a track.
 func (t *Tracer) Ranks() []int {
 	if t == nil {
 		return nil
 	}
 	out := make([]int, 0, len(t.rec))
-	for r := range t.rec {
-		out = append(out, r)
+	for r, rec := range t.rec {
+		if r != GlobalRank || rec.total > 0 {
+			out = append(out, r)
+		}
 	}
 	sortInts(out)
 	return out
@@ -319,14 +328,20 @@ func (t *Tracer) Dropped(rank int) uint64 {
 	return r.dropped()
 }
 
-// Recorder is one rank's ring-buffered event log. All methods are no-ops on
-// a nil receiver: call sites pay a single branch when tracing is disabled.
+// Recorder is one rank's observation handle. Each method records one fact
+// into every attached plane: the ring-buffered event log (when traced), the
+// rank's registry series (Attach, then the Bind* scopes) and its
+// introspection probe. All methods are no-ops on a nil receiver: call sites
+// pay a single branch when every plane is off.
 type Recorder struct {
-	t     *Tracer
+	t     *Tracer // nil when untraced: no ring, no sequence numbers, no clock reads
 	rank  int
 	buf   []Event
 	next  int    // overwrite cursor once the ring is full
 	total uint64 // events ever recorded
+
+	m     *instruments          // nil when metrics are off
+	probe *introspect.RankProbe // nil when introspection is off
 }
 
 // emit appends one event, overwriting the oldest once the ring is full.
@@ -336,7 +351,7 @@ func (r *Recorder) emit(kind Kind, name string, a, b, c int64) {
 
 // emitFlow is emit with a message flow id attached (p2p completion events).
 func (r *Recorder) emitFlow(kind Kind, name string, a, b, c int64, flow uint64) {
-	if r == nil {
+	if r == nil || r.t == nil {
 		return
 	}
 	t := r.t
@@ -377,14 +392,26 @@ func (r *Recorder) dropped() uint64 {
 
 // --- typed emit helpers (all nil-safe) -----------------------------------
 
-// PhaseBegin / PhaseEnd bracket one execution of a runner phase.
-func (r *Recorder) PhaseBegin(name string) { r.emit(KindPhaseBegin, name, 0, 0, 0) }
+// PhaseBegin / PhaseEnd bracket one execution of a runner phase. PhaseBegin
+// also sets the probe's phase annotation.
+func (r *Recorder) PhaseBegin(name string) {
+	if r == nil {
+		return
+	}
+	r.emit(KindPhaseBegin, name, 0, 0, 0)
+	r.probe.SetPhase(name)
+}
 
 // PhaseEnd closes the span opened by PhaseBegin.
 func (r *Recorder) PhaseEnd(name string) { r.emit(KindPhaseEnd, name, 0, 0, 0) }
 
 // SendBegin / SendEnd bracket a point-to-point send to peer (world rank).
+// SendBegin counts the send initiated.
 func (r *Recorder) SendBegin(peer, tag, bytes int) {
+	if m := r.mets(); m != nil {
+		m.sends.Inc()
+		m.sendBytes.Add(float64(bytes))
+	}
 	r.emit(KindSendBegin, "", int64(peer), int64(tag), int64(bytes))
 }
 
@@ -401,16 +428,15 @@ func (r *Recorder) RecvBegin(peer, tag int) {
 }
 
 // RecvEnd marks the receive completing with the resolved source and size.
-// msg is the flow id of the consumed message (0 on error completions).
+// msg is the flow id of the consumed message (0 on error completions, which
+// do not count as received).
 func (r *Recorder) RecvEnd(peer, tag, bytes int, msg uint64) {
+	if m := r.mets(); m != nil && msg != 0 {
+		m.recvs.Inc()
+		m.recvBytes.Add(float64(bytes))
+	}
 	r.emitFlow(KindRecvEnd, "", int64(peer), int64(tag), int64(bytes), msg)
 }
-
-// CollBegin / CollEnd bracket a collective operation.
-func (r *Recorder) CollBegin(op string) { r.emit(KindCollBegin, op, 0, 0, 0) }
-
-// CollEnd closes the span opened by CollBegin.
-func (r *Recorder) CollEnd(op string) { r.emit(KindCollEnd, op, 0, 0, 0) }
 
 // CkptCommit marks checkpoint frames becoming durable at the writer.
 func (r *Recorder) CkptCommit(stream string, bytes, frames int) {
@@ -442,11 +468,17 @@ func (r *Recorder) CkptLoad(stream string, bytes, frames int) {
 // CkptCorrupt marks a corrupted or torn checkpoint stream being quarantined:
 // valid bytes were kept, total-valid bytes were truncated away.
 func (r *Recorder) CkptCorrupt(stream string, valid, total int) {
+	if m := r.mets(); m != nil {
+		m.quarantines.Inc()
+	}
 	r.emit(KindCkptCorrupt, stream, int64(valid), int64(total), 0)
 }
 
 // FailureInject marks the failure injector firing against a rank.
-func (r *Recorder) FailureInject(rank int) { r.emit(KindFailureInject, "", int64(rank), 1, 0) }
+func (r *Recorder) FailureInject(rank int) {
+	r.injected("kill")
+	r.emit(KindFailureInject, "", int64(rank), 1, 0)
+}
 
 // FailureKill marks the actual death of a rank.
 func (r *Recorder) FailureKill(rank int) { r.emit(KindFailureKill, "", int64(rank), 1, 0) }
@@ -461,18 +493,39 @@ func (r *Recorder) FailureDetect(ranks []int) {
 	r.emit(KindFailureDetect, "", first, int64(len(ranks)), 0)
 }
 
-// Revoke marks revocation: how="initiate" on the revoking rank, "observed"
-// on survivors entering recovery on an already-revoked communicator.
-func (r *Recorder) Revoke(how string) { r.emit(KindRevoke, how, 0, 0, 0) }
+// Revoke marks revocation: how="initiate" on the revoking rank (or
+// "re-initiate" on an already-revoked communicator), both counted as Revoke
+// calls; "observed" on survivors entering recovery, which is not a call.
+func (r *Recorder) Revoke(how string) {
+	if m := r.mets(); m != nil && how != "observed" {
+		m.revokes.Inc()
+	}
+	r.emit(KindRevoke, how, 0, 0, 0)
+}
 
 // ShrinkBegin / ShrinkEnd bracket MPI_Comm_shrink.
-func (r *Recorder) ShrinkBegin(groupSize int) { r.emit(KindShrinkBegin, "", int64(groupSize), 0, 0) }
+func (r *Recorder) ShrinkBegin(groupSize int) {
+	if m := r.mets(); m != nil {
+		m.shrinks.Inc()
+	}
+	r.emit(KindShrinkBegin, "", int64(groupSize), 0, 0)
+}
 
 // ShrinkEnd closes the shrink span with the survivor count.
 func (r *Recorder) ShrinkEnd(survivors int) { r.emit(KindShrinkEnd, "", int64(survivors), 0, 0) }
 
-// AgreeBegin / AgreeEnd bracket a fault-tolerant agreement round.
-func (r *Recorder) AgreeBegin(flag int) { r.emit(KindAgreeBegin, "", int64(flag), 0, 0) }
+// AgreeBegin / AgreeEnd bracket a fault-tolerant agreement round (an Agree
+// call, counted).
+func (r *Recorder) AgreeBegin(flag int) {
+	if m := r.mets(); m != nil {
+		m.agrees.Inc()
+	}
+	r.emit(KindAgreeBegin, "", int64(flag), 0, 0)
+}
+
+// ShrinkAgreeBegin opens the agreement a Shrink runs internally (A=0). It
+// is closed by AgreeEnd like any agreement, but is not an Agree call.
+func (r *Recorder) ShrinkAgreeBegin() { r.emit(KindAgreeBegin, "", 0, 0, 0) }
 
 // AgreeEnd closes the agreement span with the agreed value.
 func (r *Recorder) AgreeEnd(result int) { r.emit(KindAgreeEnd, "", int64(result), 0, 0) }
@@ -485,18 +538,29 @@ func (r *Recorder) LoadBalance(what string, pieces, survivors int) {
 // LBFit records the coefficients a rank publishes for a redistribution
 // round: intercept and slope of t = a + b·D, quantized to ns and ps/byte so
 // the event stays integer-valued, plus the observation count behind the fit.
-func (r *Recorder) LBFit(model string, interceptSec, slopeSecPerByte float64, nObs int) {
+// The registry gauges take the unquantized fit and its RMS residual.
+func (r *Recorder) LBFit(model string, interceptSec, slopeSecPerByte, rmsSec float64, nObs int) {
+	if m := r.mets(); m != nil {
+		m.lbIntercept.Set(interceptSec)
+		m.lbSlope.Set(slopeSecPerByte)
+		m.lbResidual.Set(rmsSec)
+		m.lbObs.Set(float64(nObs))
+	}
 	r.emit(KindLBFit, model, int64(interceptSec*1e9), int64(slopeSecPerByte*1e12), int64(nObs))
 }
 
 // SlowRank marks a straggler injection (factor quantized to permille).
 func (r *Recorder) SlowRank(rank int, factor float64) {
+	r.injected("slow")
 	r.emit(KindSlowRank, "", int64(rank), int64(factor*1000), 0)
 }
 
 // TaskCommit marks a map task (what="map") or reduce partition progress
 // (what="reduce") commit.
 func (r *Recorder) TaskCommit(what string, id int, count int64) {
+	if m := r.mets(); m != nil {
+		m.taskCommits.Inc()
+	}
 	r.emit(KindTaskCommit, what, int64(id), count, 0)
 }
 
@@ -534,50 +598,86 @@ func (r *Recorder) RecoveryStage(stage string, d time.Duration) {
 // partner) or "pfs" (durable restore). The per-source counts drive the
 // ftmr_recovery_reads{source} counters and the abl-restore ablation.
 func (r *Recorder) RecoverySource(source string, bytes, frames int) {
+	if m := r.mets(); m != nil {
+		m.recReads[source].Inc()
+	}
 	r.emit(KindRecoverySource, source, int64(bytes), int64(frames), 0)
 }
 
 // ShadowMirror marks a byte-identical copy of an already-sent message being
 // delivered to a shadow rank (world rank peer), reusing the original send's
-// flow id. Emitted by mpi.SendMirror in place of a second send.end.
+// flow id. Emitted by mpi.SendMirror in place of a second send.end; the copy
+// counts as a send.
 func (r *Recorder) ShadowMirror(peer, tag, bytes int, flow uint64) {
+	if m := r.mets(); m != nil {
+		m.sends.Inc()
+		m.sendBytes.Add(float64(bytes))
+	}
 	r.emitFlow(KindShadowMirror, "", int64(peer), int64(tag), int64(bytes), flow)
 }
 
 // ShadowSync marks replicate-mode reduce progress crossing a pair: a
-// primary pushing a commit record to its shadow (what="push") or the shadow
-// consuming one (what="drain"). part/groups/bytes mirror the commit.
+// primary pushing a commit record to its shadow (what="push", counted) or
+// the shadow consuming one (what="drain"). part/groups/bytes mirror the
+// commit.
 func (r *Recorder) ShadowSync(what string, part int, groups int, bytes uint64) {
+	if m := r.mets(); m != nil && what == "push" {
+		m.shadowSyncs.Inc()
+	}
 	r.emit(KindShadowSync, what, int64(part), int64(groups), int64(bytes))
 }
 
 // Failover marks a shadow promoting itself to acting primary for a failed
 // slot (replication execution model: no replay, no PFS read).
 func (r *Recorder) Failover(slot, shadow int) {
+	if m := r.mets(); m != nil {
+		m.failovers.Inc()
+	}
 	r.emit(KindFailover, "promote", int64(slot), int64(shadow), 0)
 }
 
 // CkptStall attributes d of main-thread blocking to checkpoint I/O
-// (what = "write" or "drain"). Zero charges are elided.
+// (what = "write" or "drain"), accruing it to the matching wait counter.
+// Zero charges emit no event.
 func (r *Recorder) CkptStall(what string, d time.Duration) {
 	if r == nil || d <= 0 {
 		return
 	}
+	if m := r.m; m != nil {
+		if what == "write" {
+			m.ckptWriteWait.Add(d.Seconds())
+		} else {
+			m.ckptDrainWait.Add(d.Seconds())
+		}
+	}
 	r.emit(KindCkptStall, what, int64(d), 0, 0)
 }
 
-// CollBeginN is CollBegin with the collective instance stamped: comm is the
-// communicator's world-unique id, seq the per-communicator operation
-// sequence number all participants of this instance share. The pair lets
-// the critical-path analyzer match a coll.end to exactly the begins of the
-// same instance instead of guessing from open spans.
+// CollBeginN / CollEndN bracket a collective operation, stamped with its
+// instance: comm is the communicator's world-unique id, seq the
+// per-communicator operation sequence number all participants of this
+// instance share. The pair lets the critical-path analyzer match a coll.end
+// to exactly the begins of the same instance instead of guessing from open
+// spans. CollBeginN counts the collective entered and annotates the probe
+// with the instance.
 func (r *Recorder) CollBeginN(op string, comm, seq int) {
+	if r == nil {
+		return
+	}
+	if m := r.m; m != nil {
+		m.colls.Inc()
+	}
+	r.probe.EnterColl(op, comm, seq)
 	r.emit(KindCollBegin, op, int64(comm), int64(seq), 0)
 }
 
 // CollEndN closes the span opened by CollBeginN with the same stamp.
 func (r *Recorder) CollEndN(op string, comm, seq int) {
+	if r == nil {
+		return
+	}
 	r.emit(KindCollEnd, op, int64(comm), int64(seq), 0)
+	r.probe.ExitColl()
 }
 
 // --- small local sorts (avoid pulling package sort into the hot file) ----

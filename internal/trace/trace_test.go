@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ftmrmpi/internal/introspect"
+	"ftmrmpi/internal/metrics"
 	"ftmrmpi/internal/vtime"
 )
 
@@ -31,8 +32,8 @@ func TestNilTracerAndRecorderAreNoOps(t *testing.T) {
 	rec.SendEnd(1, 2, 3, 7)
 	rec.RecvBegin(-1, 2)
 	rec.RecvEnd(0, 2, 9, 7)
-	rec.CollBegin("barrier")
-	rec.CollEnd("barrier")
+	rec.CollBeginN("barrier", 0, 0)
+	rec.CollEndN("barrier", 0, 0)
 	rec.CkptCommit("map/t0", 10, 1)
 	rec.CopierBegin("map/t0", 10)
 	rec.CopierEnd("map/t0", 10)
@@ -47,11 +48,24 @@ func TestNilTracerAndRecorderAreNoOps(t *testing.T) {
 	rec.AgreeBegin(1)
 	rec.AgreeEnd(1)
 	rec.LoadBalance("parts", 2, 3)
-	rec.LBFit("trace", 0.002, 1.5e-6, 7)
+	rec.ShrinkAgreeBegin()
+	rec.LBFit("trace", 0.002, 1.5e-6, 1e-4, 7)
 	rec.SlowRank(1, 6.0)
 	rec.TaskCommit("map", 0, 5)
+	rec.TaskSeconds("map", time.Millisecond)
+	rec.RecoveryAttempt()
 	rec.RecoveryBegin()
 	rec.RecoveryEnd()
+	rec.BindMPI()
+	rec.BindRunner()
+	rec.BindReplication()
+	rec.AddCounter("iters", 1)
+	rec.MirrorBundle(64)
+	rec.DupDrop()
+	rec.InjectOutage()
+	rec.SetTask(1)
+	rec.EnterDrain()
+	rec.ExitDrain()
 
 	if got := tr.Events(); got != nil {
 		t.Errorf("nil tracer Events() = %v, want nil", got)
@@ -128,6 +142,27 @@ func TestEventVirtualTimestamps(t *testing.T) {
 	}
 }
 
+// TestRegistryOnlyFactsAddNoTrack: a world-track fact that reaches only the
+// registry (an outage window) must not list the world track, or the Chrome
+// sink would render an empty "world" process.
+func TestRegistryOnlyFactsAddNoTrack(t *testing.T) {
+	sim, tr := newTestTracer(0)
+	reg := metrics.New(sim)
+	w := tr.Global()
+	w.Attach(reg, nil)
+	w.InjectOutage()
+	if got := tr.Ranks(); len(got) != 0 {
+		t.Fatalf("Ranks() = %v after a registry-only fact, want none", got)
+	}
+	if v, ok := reg.Snapshot().Series("ftmr_failures_injected", "outage"); !ok || v != 1 {
+		t.Fatalf("outage counter = %v (present %v), want 1", v, ok)
+	}
+	w.FailureInject(2)
+	if got := tr.Ranks(); len(got) != 1 || got[0] != GlobalRank {
+		t.Fatalf("Ranks() = %v after an event, want [%d]", got, GlobalRank)
+	}
+}
+
 func TestWriteJSONLParses(t *testing.T) {
 	_, tr := newTestTracer(0)
 	tr.Rank(0).PhaseBegin("map")
@@ -177,8 +212,8 @@ func TestWriteChromeShape(t *testing.T) {
 	_, tr := newTestTracer(0)
 	rec := tr.Rank(0)
 	rec.PhaseBegin("map")
-	rec.CollBegin("barrier")
-	rec.CollEnd("barrier")
+	rec.CollBeginN("barrier", 0, 0)
+	rec.CollEndN("barrier", 0, 0)
 	rec.PhaseEnd("map")
 	rec.RecoveryBegin()
 	rec.RecoveryEnd()
@@ -232,12 +267,12 @@ func TestSummarizeBasics(t *testing.T) {
 		p.Sleep(3 * time.Millisecond)
 		rec.RecoveryEnd()
 		// Nested collectives: only the top-level span counts.
-		rec.CollBegin("allreduce")
-		rec.CollBegin("allgather")
+		rec.CollBeginN("allreduce", 0, 0)
+		rec.CollBeginN("allgather", 0, 0)
 		p.Sleep(2 * time.Millisecond)
-		rec.CollEnd("allgather")
+		rec.CollEndN("allgather", 0, 0)
 		p.Sleep(1 * time.Millisecond)
-		rec.CollEnd("allreduce")
+		rec.CollEndN("allreduce", 0, 0)
 		rec.SendEnd(1, 0, 100, 1)
 		rec.RecvEnd(1, 0, 200, 2)
 		rec.CkptCommit("map/t0", 50, 2)
@@ -302,59 +337,61 @@ func TestTracerOverheadGate(t *testing.T) {
 	}
 }
 
+// overheadMix is the call mix both overhead benchmarks time: p2p and
+// stamped collectives, the critical-path attributions (recovery stages,
+// checkpoint stalls), the recovery-source attribution, the replication
+// model's events and counters (mirror, sync, failover, dup drop), recovery
+// attempts, the task commit and latency histogram, and the probe
+// annotations (phase, task, drain) — so every fact a Recorder folds stays
+// inside the same gate.
+func overheadMix(rec *Recorder, i int) {
+	rec.PhaseBegin("map")
+	rec.SetTask(i)
+	rec.SendBegin(1, 2, 64)
+	rec.SendEnd(1, 2, 64, 1)
+	rec.RecvBegin(1, 2)
+	rec.RecvEnd(1, 2, 64, 1)
+	rec.RecoveryStage("skip", time.Millisecond)
+	rec.CkptStall("write", time.Millisecond)
+	rec.CollBeginN("barrier", 1, i)
+	rec.CollEndN("barrier", 1, i)
+	rec.RecoverySource("pfs", 64, 1)
+	rec.ShadowMirror(1, 2, 64, 1)
+	rec.ShadowSync("push", 1, 2, 64)
+	rec.Failover(1, 2)
+	rec.MirrorBundle(64)
+	rec.DupDrop()
+	rec.RecoveryAttempt()
+	rec.TaskCommit("map", i, 5)
+	rec.TaskSeconds("map", time.Millisecond)
+	rec.EnterDrain()
+	rec.ExitDrain()
+}
+
 // BenchmarkTracerOverheadDisabled measures the disabled hot path: a nil
 // recorder call must cost a single branch (plus call overhead when not
-// inlined). Compare with BenchmarkTracerOverheadEnabled. The mix includes
-// the critical-path instrumentation (attribution stages, checkpoint stalls,
-// stamped collectives), the recovery-source attribution, the
-// replication-model events (mirror/sync/failover), and the introspection
-// probe annotations (phase/task/collective) so new call sites stay inside
-// the same gate.
+// inlined). Compare with BenchmarkTracerOverheadEnabled.
 func BenchmarkTracerOverheadDisabled(b *testing.B) {
 	var rec *Recorder
-	var ip *introspect.RankProbe
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rec.SendBegin(1, 2, 64)
-		rec.SendEnd(1, 2, 64, 1)
-		rec.RecoveryStage("skip", time.Millisecond)
-		rec.CkptStall("write", time.Millisecond)
-		rec.CollBeginN("barrier", 1, i)
-		rec.CollEndN("barrier", 1, i)
-		rec.RecoverySource("pfs", 64, 1)
-		rec.ShadowMirror(1, 2, 64, 1)
-		rec.ShadowSync("push", 1, 2, 64)
-		rec.Failover(1, 2)
-		ip.SetPhase("map")
-		ip.SetTask(i)
-		ip.EnterColl("barrier", 1, i)
-		ip.ExitColl()
+		overheadMix(rec, i)
 	}
 }
 
-// BenchmarkTracerOverheadEnabled measures the live recorder with a full
-// (steady-state overwriting) ring, over the same call mix as the disabled
-// benchmark.
+// BenchmarkTracerOverheadEnabled measures the same call mix on a Recorder
+// with every plane attached: a full (steady-state overwriting) ring, bound
+// registry series of every scope, and an introspection probe.
 func BenchmarkTracerOverheadEnabled(b *testing.B) {
 	sim, tr := newTestTracer(1 << 10)
 	rec := tr.Rank(0)
-	ip := introspect.New(sim, time.Millisecond).RankProbe(0)
+	rec.Attach(metrics.New(sim), introspect.New(sim, time.Millisecond).RankProbe(0))
+	rec.BindMPI()
+	rec.BindRunner()
+	rec.BindReplication()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec.SendBegin(1, 2, 64)
-		rec.SendEnd(1, 2, 64, 1)
-		rec.RecoveryStage("skip", time.Millisecond)
-		rec.CkptStall("write", time.Millisecond)
-		rec.CollBeginN("barrier", 1, i)
-		rec.CollEndN("barrier", 1, i)
-		rec.RecoverySource("pfs", 64, 1)
-		rec.ShadowMirror(1, 2, 64, 1)
-		rec.ShadowSync("push", 1, 2, 64)
-		rec.Failover(1, 2)
-		ip.SetPhase("map")
-		ip.SetTask(i)
-		ip.EnterColl("barrier", 1, i)
-		ip.ExitColl()
+		overheadMix(rec, i)
 	}
 }

@@ -96,6 +96,8 @@ type Sim struct {
 	// starts, and callbacks); dropped duplicates and dead-process events are
 	// not counted. The throughput benchmark divides it by wall time.
 	processed uint64
+	// ticks counts pending Every ticks, which activeEvents must discount.
+	ticks int
 }
 
 // NewSim returns an empty simulation at virtual time zero.
@@ -412,14 +414,28 @@ func (s *Sim) Run() time.Duration {
 	return s.now
 }
 
-// ActiveEvents returns the number of scheduled events that can still fire:
+// Every runs fn every d of virtual time (d > 0), first at now+d, for as long
+// as the simulation has other work. A tick re-arms only while some scheduled
+// event other than a periodic tick can still fire — pending events bound to
+// dead processes and other Every loops' ticks do not count — so periodic
+// loops (the metrics sampler, the introspection capture cadence) never keep
+// Run alive, alone or by counting each other. Each tick is scheduled with
+// After, so a loop fires exactly as many events as it would alone.
+func (s *Sim) Every(d time.Duration, fn func()) {
+	s.ticks++
+	s.After(d, func() {
+		s.ticks--
+		fn()
+		if s.activeEvents() > s.ticks {
+			s.Every(d, fn)
+		}
+	})
+}
+
+// activeEvents returns the number of scheduled events that can still fire:
 // pending events that are not bound to a dead process (canceled timers are
-// removed from the heap at Stop time, so they never appear here). A
-// self-rescheduling callback (e.g. the metrics sampler's cadence timer)
-// consults it to decide whether re-arming would keep the simulation alive
-// artificially — inside a callback, a result of 0 means nothing else will
-// ever happen, so the callback should not re-arm itself.
-func (s *Sim) ActiveEvents() int {
+// removed from the heap at Stop time, so they never appear here).
+func (s *Sim) activeEvents() int {
 	n := 0
 	for _, e := range s.events {
 		if e.proc != nil && e.proc.dead {
@@ -432,7 +448,7 @@ func (s *Sim) ActiveEvents() int {
 
 // PendingEvents returns the raw scheduler heap size, including events bound
 // to dead processes that will be dropped when popped. The timer-compaction
-// unit test pins heap growth with it; ActiveEvents is the behavioral count.
+// unit test pins heap growth with it.
 func (s *Sim) PendingEvents() int { return len(s.events) }
 
 // Stranded returns the names of processes that are still parked after Run

@@ -459,3 +459,38 @@ func TestEventsProcessedCounts(t *testing.T) {
 		t.Fatalf("EventsProcessed = %d, want >= 3 (spawn resume, sleep wake, callback)", n)
 	}
 }
+
+// TestEveryLoopsDoNotKeepEachOtherAlive runs two periodic loops beside one
+// finite process: Run must return, and each loop must tick exactly as often
+// as it does alone — a pending tick of one loop is not work for the other.
+func TestEveryLoopsDoNotKeepEachOtherAlive(t *testing.T) {
+	run := func(loops ...time.Duration) []int {
+		s := NewSim()
+		s.Spawn("work", func(p *Proc) {
+			for i := 0; i < 7; i++ {
+				p.Sleep(33 * time.Millisecond)
+			}
+		})
+		ticks := make([]int, len(loops))
+		for i, d := range loops {
+			i := i
+			s.Every(d, func() { ticks[i]++ })
+		}
+		s.Run()
+		if n := s.PendingEvents(); n != 0 {
+			t.Fatalf("loops %v: %d events left after Run", loops, n)
+		}
+		return ticks
+	}
+	fast, slow := 10*time.Millisecond, 50*time.Millisecond
+	aloneFast, aloneSlow := run(fast)[0], run(slow)[0]
+	both := run(fast, slow)
+	if both[0] != aloneFast || both[1] != aloneSlow {
+		t.Fatalf("ticks together = %v, alone = [%d %d]", both, aloneFast, aloneSlow)
+	}
+	// The work ends at 231ms: the fast loop ticks through 240ms, the slow
+	// one through 250ms.
+	if aloneFast != 24 || aloneSlow != 5 {
+		t.Fatalf("ticks alone = [%d %d], want [24 5]", aloneFast, aloneSlow)
+	}
+}
