@@ -70,13 +70,20 @@ trace-selftest: build-cmds
 	bin/ftmr-trace flows internal/trace/testdata/golden_v2.jsonl
 	bin/ftmr-trace summarize -skew internal/trace/testdata/golden_v2.jsonl >/dev/null
 
-# CLI self-test over the committed metrics snapshot (an 8-rank wordcount
-# failover run, regenerated with:
-#   bin/ftmr-sim -procs 8 -kill-phase map -metrics-out internal/metrics/testdata/selftest.om
-# ): it must render and self-diff clean, the default SLOs must pass its
-# health gate, and a deliberately tight checkpoint-overhead bound must make
-# the gate exit nonzero.
+# CLI self-test over the committed metrics snapshots (an 8-rank wordcount
+# failover run, final snapshot only and sampled every 5ms): the same two
+# commands with the committed path as -metrics-out regenerate them, and a
+# fresh run must match each byte for byte, so the float sums of sampled and
+# unsampled runs stay pinned. The snapshot must render and self-diff clean,
+# the default SLOs must pass its health gate, and a deliberately tight
+# checkpoint-overhead bound must make the gate exit nonzero.
 metrics-selftest: build-cmds
+	bin/ftmr-sim -procs 8 -kill-phase map \
+		-metrics-out /tmp/ftmr-metrics-selftest.om >/dev/null 2>&1
+	cmp /tmp/ftmr-metrics-selftest.om internal/metrics/testdata/selftest.om
+	bin/ftmr-sim -procs 8 -kill-phase map -metrics-interval 5ms \
+		-metrics-out /tmp/ftmr-metrics-selftest-sampled.om >/dev/null 2>&1
+	cmp /tmp/ftmr-metrics-selftest-sampled.om internal/metrics/testdata/selftest_sampled.om
 	bin/ftmr-metrics render internal/metrics/testdata/selftest.om >/dev/null
 	bin/ftmr-metrics diff internal/metrics/testdata/selftest.om internal/metrics/testdata/selftest.om >/dev/null
 	bin/ftmr-metrics health internal/metrics/testdata/selftest.om >/dev/null

@@ -99,18 +99,7 @@ func main() {
 		metricsInterval = flag.Duration("metrics-interval", 0, "also sample metrics on this virtual-time cadence (0: final snapshot only)")
 		health          = flag.Bool("health", false, "print the SLO health report and exit 1 when the gate fails")
 	)
-	def := metrics.DefaultSLO()
-	var (
-		sloCkpt     = flag.Float64("slo-ckpt-overhead", def.MaxCkptOverhead, "max checkpoint overhead fraction (negative: report-only)")
-		sloRec      = flag.Float64("slo-recovery", def.MaxRecoverySeconds, "max worst-rank recovery seconds (negative: report-only)")
-		sloSkew     = flag.Float64("slo-shuffle-skew", def.MaxShuffleSkew, "max shuffle-byte skew, max/mean (negative: report-only)")
-		sloCopier   = flag.Float64("slo-copier-share", def.MaxCopierShare, "max copier CPU share (negative: report-only)")
-		sloQuar     = flag.Float64("slo-quarantines", def.MaxQuarantines, "max checkpoint quarantines (negative: report-only)")
-		sloMissing  = flag.Float64("slo-missing-ranks", def.MaxMissingRanks, "max missing ranks (negative: report-only)")
-		sloCritPath = flag.Float64("slo-critpath-recovery", def.MaxRecoveryPathShare, "max recovery share of the critical path, 0..1 (negative: report-only)")
-		sloPFSShare = flag.Float64("slo-recovery-pfs-share", def.MaxRecoveryPFSShare, "max share of recovery reads served by the PFS instead of replicas, 0..1 (negative: report-only)")
-		sloStalls   = flag.Float64("slo-introspect-stalls", def.MaxIntrospectStalls, "max introspection stall reports (negative: report-only)")
-	)
+	slo := metrics.SLOFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *traceFmt != "jsonl" && *traceFmt != "chrome" {
@@ -431,17 +420,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "metrics written to %s (openmetrics)\n", *metricsOut)
 		}
 		if *health {
-			hl := metrics.Evaluate(final, metrics.SLO{
-				MaxCkptOverhead:      *sloCkpt,
-				MaxRecoverySeconds:   *sloRec,
-				MaxShuffleSkew:       *sloSkew,
-				MaxCopierShare:       *sloCopier,
-				MaxQuarantines:       *sloQuar,
-				MaxMissingRanks:      *sloMissing,
-				MaxRecoveryPathShare: *sloCritPath,
-				MaxRecoveryPFSShare:  *sloPFSShare,
-				MaxIntrospectStalls:  *sloStalls,
-			})
+			hl := metrics.Evaluate(final, *slo)
 			hl.Render(os.Stdout)
 			if hl.Breached() {
 				os.Exit(1)

@@ -34,6 +34,9 @@ func TestExportedSymbolsDocumented(t *testing.T) {
 		// guessing at the snapshot schema or at what may be called from which
 		// goroutine.
 		{"internal/introspect", "introspect"},
+		// The record harness under both JSONL wire formats: an undocumented
+		// symbol is a reader guessing which damage is fatal.
+		{"internal/jsonl", "jsonl"},
 		// The simulator core: its contract (total event order,
 		// one-proc-at-a-time execution, park/wake semantics) is what every
 		// determinism guarantee rests on.

@@ -111,15 +111,13 @@ type Cluster struct {
 }
 
 // Recorder returns rank's observation handle (trace.GlobalRank for the
-// world track): one trace.Recorder feeding every attached plane — the trace
-// ring, the Metrics registry and the rank's Introspect probe. With Trace set
-// it is the tracer's own recorder for the rank; otherwise an untraced one,
-// memoized per rank. It is nil only when all three planes are off. Set the
-// planes before launch: each rank keeps the handle it was launched with.
+// world track): one trace.Recorder that updates the rank's runner tally and
+// feeds every attached plane — the trace ring, the Metrics registry and the
+// rank's Introspect probe. With Trace set it is the tracer's own recorder
+// for the rank; otherwise an untraced one, memoized per rank, which is
+// plane-less when all three planes are off. It is never nil. Set the planes
+// before launch: each rank keeps the handle it was launched with.
 func (c *Cluster) Recorder(rank int) *trace.Recorder {
-	if c.Trace == nil && c.Metrics == nil && c.Introspect == nil {
-		return nil
-	}
 	r := c.Trace.Rank(rank)
 	if r == nil {
 		if r = c.recs[rank]; r == nil {

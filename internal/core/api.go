@@ -188,7 +188,6 @@ func (t *TaskContext) WorldRank() int { return t.run.comm.WorldRank(t.run.comm.R
 // With metrics enabled the delta also lands in a per-rank registry counter
 // named user_<sanitized name>.
 func (t *TaskContext) AddCounter(name string, delta int64) {
-	t.run.m.Counters[name] += delta
 	t.run.rec.AddCounter(name, delta)
 }
 
@@ -301,12 +300,6 @@ type Spec struct {
 	// marker is durable).
 	KeepCheckpoints bool
 
-	// SkipCostFactor is the CPU cost of skipping one already-committed
-	// record during recovery, as a fraction of Mapper.Cost (default 0.05:
-	// "read the input data and skip the processed records, which is much
-	// cheaper than reprocessing").
-	SkipCostFactor float64
-
 	// StatusEvery is how many task completions pass between the distributed
 	// masters' status gossip rounds (default 1).
 	StatusEvery int
@@ -336,9 +329,6 @@ type Spec struct {
 func (s Spec) withDefaults() Spec {
 	if s.CkptInterval <= 0 {
 		s.CkptInterval = 100
-	}
-	if s.SkipCostFactor <= 0 {
-		s.SkipCostFactor = 0.05
 	}
 	if s.StatusEvery <= 0 {
 		s.StatusEvery = 1

@@ -150,21 +150,21 @@ type copier struct {
 	local   *storage.Tier
 	pfs     *storage.Tier
 	cpu     *vtime.Bandwidth
-	metrics *RankMetrics
+	tally   *trace.Tally    // the starting runner's; outlives a replaced runner
 	rec     *trace.Recorder // owning rank's recorder; events land on its copier track
 	copied  map[string]int  // stream -> bytes durable on PFS
 	stopped bool
 }
 
-func startCopier(sim *vtime.Sim, name string, jobID string, local, pfs *storage.Tier, cpu *vtime.Bandwidth, m *RankMetrics) *copier {
+func startCopier(sim *vtime.Sim, name string, jobID string, local, pfs *storage.Tier, cpu *vtime.Bandwidth, t *trace.Tally) *copier {
 	cp := &copier{
-		jobID:   jobID,
-		q:       vtime.NewQueue(sim),
-		local:   local,
-		pfs:     pfs,
-		cpu:     cpu,
-		metrics: m,
-		copied:  make(map[string]int),
+		jobID:  jobID,
+		q:      vtime.NewQueue(sim),
+		local:  local,
+		pfs:    pfs,
+		cpu:    cpu,
+		tally:  t,
+		copied: make(map[string]int),
 	}
 	cp.proc = sim.Spawn(name, cp.loop)
 	return cp
@@ -235,22 +235,22 @@ func (cp *copier) copyStream(p *vtime.Proc, stream string) {
 	delta := data[have:]
 	cp.rec.CopierBegin(stream, len(delta))
 	// Read only the new suffix from the local disk.
-	cp.metrics.CopierIO += cp.local.Charge(p, 1, len(delta))
+	cp.tally.CopierIO += cp.local.Charge(p, 1, len(delta))
 	// CPU for the copy path (shared with the main thread on this core).
 	cpuSec := float64(len(delta)) * copierCPUPerByte
 	t0 := p.Now()
 	cp.cpu.Acquire(p, cpuSec)
-	cp.metrics.CPUCopier += p.Now() - t0
+	cp.tally.CPUCopier += p.Now() - t0
 	// A torn PFS append would leave a partial frame at the durable tail; roll
 	// back to the pre-append length and retry so the drained stream never
 	// carries a torn frame boundary.
 	pre := cp.pfs.Size(path)
 	d, err := cp.pfs.AppendFile(p, path, delta, 1)
-	cp.metrics.CopierIO += d
+	cp.tally.CopierIO += d
 	for attempt := 0; err != nil && attempt < 3; attempt++ {
 		cp.pfs.Truncate(path, pre)
 		d, err = cp.pfs.AppendFile(p, path, delta, 1)
-		cp.metrics.CopierIO += d
+		cp.tally.CopierIO += d
 	}
 	if err != nil {
 		// Give up on this delta (clean rollback, no durability advance); a
@@ -299,7 +299,6 @@ type ckptWriter struct {
 	local   *storage.Tier // nil when the node has no local disk
 	pfs     *storage.Tier
 	cp      *copier
-	m       *RankMetrics
 	rec     *trace.Recorder
 	agent   *lbAgent    // fed phase-boundary drain stalls (trace LB model)
 	rep     *replicator // nil when the in-memory replica tier is disabled
@@ -313,22 +312,16 @@ func (w *ckptWriter) write(p *vtime.Proc, stream string, data []byte, frames int
 		return
 	}
 	path := ckptPath(w.jobID, stream)
-	w.m.CkptFrames += int64(frames)
-	w.m.CkptBytes += int64(len(data))
 	w.rec.CkptCommit(stream, len(data), frames)
 	if w.loc == LocLocalCopier && w.local != nil {
-		d := appendRepair(p, w.local, path, data, frames)
-		w.m.IOWait += d
-		w.rec.CkptStall("write", d)
+		w.rec.CkptStall("write", appendRepair(p, w.local, path, data, frames))
 		w.cp.enqueue(stream)
 		w.replicate(stream, data)
 		return
 	}
 	// Direct to PFS: every frame is a distinct small operation against the
 	// shared file system (§4.1.3's slow path).
-	d := appendRepair(p, w.pfs, path, data, frames)
-	w.m.IOWait += d
-	w.rec.CkptStall("write", d)
+	w.rec.CkptStall("write", appendRepair(p, w.pfs, path, data, frames))
 	w.replicate(stream, data)
 }
 
@@ -372,7 +365,6 @@ func (w *ckptWriter) phaseSync(p *vtime.Proc) {
 		w.cp.drainWait(p)
 		w.rec.ExitDrain()
 		d := p.Now() - t0
-		w.m.IOWait += d
 		w.rec.CkptStall("drain", d)
 		if w.agent != nil {
 			w.agent.noteStall(d)
@@ -386,7 +378,6 @@ type ckptReader struct {
 	pfs      *storage.Tier
 	local    *storage.Tier // staging target for prefetch
 	prefetch bool
-	m        *RankMetrics
 	rec      *trace.Recorder
 	// staged marks streams already prefetched to the local disk.
 	staged map[string]bool
@@ -411,7 +402,7 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 	// Whatever this call spends — staging reads, retries, per-frame replay
 	// charges — is added to the load-checkpoint bucket as one stage.
 	var d time.Duration
-	defer func() { addRecoveryStage(r.m, r.rec, "load", d) }()
+	defer func() { r.rec.RecoveryStage("load", d) }()
 	if frames := r.loadReplica(stream); frames != nil {
 		return frames
 	}
@@ -467,7 +458,6 @@ func (r *ckptReader) load(p *vtime.Proc, stream string) []frame {
 		// only costs rework, which the recovery path already handles for
 		// streams that never became durable at all.
 		r.rec.CkptCorrupt(stream, consumed, len(raw))
-		r.m.Counters["ckpt_corrupt"]++
 		r.pfs.Truncate(path, consumed)
 		if r.local != nil && r.staged[stream] {
 			r.local.Truncate("stage/"+path, consumed)
@@ -517,8 +507,6 @@ func (r *ckptReader) loadReplica(stream string) []frame {
 // registry counter. It also seeds the reader's replica mirror — the rank
 // that replayed a stream owns it from here on.
 func (r *ckptReader) accountLoad(stream, source string, valid []byte, frames []frame) {
-	r.m.RecoveredBytes += int64(len(valid))
-	r.m.RecoveredFrames += int64(len(frames))
 	r.rec.CkptLoad(stream, len(valid), len(frames))
 	r.rec.RecoverySource(source, len(valid), len(frames))
 	if r.rs != nil {

@@ -25,7 +25,7 @@ func TestCkptReaderQuarantinesTornTail(t *testing.T) {
 
 	var frames []frame
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, staged: make(map[string]bool)}
+		rd := &ckptReader{jobID: "job", pfs: clus.PFS, rec: tallied(m), staged: make(map[string]bool)}
 		frames = rd.load(p, "map/t000001")
 	})
 	clus.Sim.Run()
@@ -40,7 +40,7 @@ func TestCkptReaderQuarantinesTornTail(t *testing.T) {
 	}
 	// A second load sees a clean stream: no further quarantine.
 	clus.Sim.Spawn("again", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, staged: make(map[string]bool)}
+		rd := &ckptReader{jobID: "job", pfs: clus.PFS, rec: tallied(m), staged: make(map[string]bool)}
 		frames = rd.load(p, "map/t000001")
 	})
 	clus.Sim.Run()
@@ -65,7 +65,7 @@ func TestCkptReaderQuarantinesBitFlip(t *testing.T) {
 
 	var frames []frame
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, staged: make(map[string]bool)}
+		rd := &ckptReader{jobID: "job", pfs: clus.PFS, rec: tallied(m), staged: make(map[string]bool)}
 		frames = rd.load(p, "part/p000001")
 	})
 	clus.Sim.Run()
@@ -99,7 +99,7 @@ func TestCorruptStreamServedFromReplica(t *testing.T) {
 
 	var frames []frame
 	clus.Sim.Spawn("main", func(p *vtime.Proc) {
-		rd := &ckptReader{jobID: "job", pfs: clus.PFS, m: m, staged: make(map[string]bool), rs: rs}
+		rd := &ckptReader{jobID: "job", pfs: clus.PFS, rec: tallied(m), staged: make(map[string]bool), rs: rs}
 		frames = rd.load(p, "part/p000001")
 	})
 	clus.Sim.Run()

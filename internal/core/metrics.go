@@ -1,66 +1,42 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"ftmrmpi/internal/metrics"
+	"ftmrmpi/internal/trace"
+)
 
 // Phase identifies one stage of a job's lifetime for time decomposition
 // (used by the paper's Figures 7, 9, and 10).
-type Phase string
+type Phase = trace.Phase
 
 const (
-	PhaseInit     Phase = "init"     // startup: input split and task-table build
-	PhaseMap      Phase = "map"      // map tasks (read, map, emit, checkpoint)
-	PhaseShuffle  Phase = "shuffle"  // all-to-all exchange of KV pairs
-	PhaseConvert  Phase = "merge"    // KV→KMV conversion; the paper labels it "merge"
-	PhaseReduce   Phase = "reduce"   // reduce over grouped keys and output write
-	PhaseRecovery Phase = "recovery" // post-failure shrink, restore, and reprocess
+	PhaseInit     = trace.PhaseInit     // startup: input split and task-table build
+	PhaseMap      = trace.PhaseMap      // map tasks (read, map, emit, checkpoint)
+	PhaseShuffle  = trace.PhaseShuffle  // all-to-all exchange of KV pairs
+	PhaseConvert  = trace.PhaseConvert  // KV→KMV conversion; the paper labels it "merge"
+	PhaseReduce   = trace.PhaseReduce   // reduce over grouped keys and output write
+	PhaseRecovery = trace.PhaseRecovery // post-failure shrink, restore, and reprocess
 )
 
 // RecoveryBreakdown decomposes recovery time the way Figure 3 does.
-type RecoveryBreakdown struct {
-	Init      time.Duration // coordination: shrink/agree/table rebuild
-	LoadCkpt  time.Duration // reading checkpoint data
-	Skip      time.Duration // re-reading input and skipping committed records
-	Reprocess time.Duration // re-executing uncommitted work
-}
+type RecoveryBreakdown = trace.RecoveryBreakdown
 
-// Total returns the summed recovery time.
-func (r RecoveryBreakdown) Total() time.Duration {
-	return r.Init + r.LoadCkpt + r.Skip + r.Reprocess
-}
-
-// RankMetrics accumulates one rank's accounting for a job attempt.
+// RankMetrics is one rank's accounting for a job attempt: the runner's
+// trace.Tally, which the rank's Recorder updates, plus the row's identity.
 type RankMetrics struct {
-	WorldRank int  // launch (world) rank this row describes
-	Failed    bool // this rank was killed
-
-	CPUMain   time.Duration // main-thread compute
-	CPUCopier time.Duration // copier/agent-thread compute (same core)
-	IOWait    time.Duration // storage waits (main thread)
-	CopierIO  time.Duration // storage waits (copier thread)
-	NetWait   time.Duration // time inside communication calls
-
-	PhaseTime map[Phase]time.Duration // wall time this rank spent per phase
-	Recovery  RecoveryBreakdown       // Figure 3 recovery-time decomposition
-
-	// Counters holds user-defined counters (TaskContext.AddCounter).
-	Counters map[string]int64
-
-	RecordsMapped   int64 // input records run through the mapper
-	RecordsSkipped  int64 // committed records skipped during recovery re-read
-	RecordsRestored int64 // records restored from checkpoint frames
-	GroupsReduced   int64 // key groups run through the reducer
-	CkptFrames      int64 // checkpoint frames written
-	CkptBytes       int64 // checkpoint bytes written
-	ShuffleBytes    int64 // bytes sent during the shuffle exchange
-	RecoveredFrames int64 // checkpoint frames read back during recovery
-	RecoveredBytes  int64 // checkpoint bytes read back during recovery
+	WorldRank int // launch (world) rank this row describes
+	trace.Tally
 }
 
 func newRankMetrics(worldRank int) *RankMetrics {
 	return &RankMetrics{
 		WorldRank: worldRank,
-		PhaseTime: make(map[Phase]time.Duration),
-		Counters:  make(map[string]int64),
+		Tally: trace.Tally{
+			PhaseTime: make(map[Phase]time.Duration),
+			Counters:  make(map[string]int64),
+		},
 	}
 }
 
@@ -234,4 +210,31 @@ func (r *Result) Summary() ResultSummary {
 		}
 	}
 	return s
+}
+
+// ExportResultMetrics publishes job-outcome signals — missing ranks, failed
+// ranks, aborted attempts — as world-scoped gauges, so the health report can
+// distinguish a degraded-but-successful run from a clean one. Call it after
+// the run, before the final snapshot. Nil-safe.
+func ExportResultMetrics(reg *metrics.Registry, results []*Result) {
+	if reg == nil {
+		return
+	}
+	missing, failed, aborted := 0, 0, 0
+	for _, res := range results {
+		if res == nil {
+			continue
+		}
+		missing += len(res.MissingRanks())
+		failed += len(res.FailedRanks)
+		if res.Aborted {
+			aborted++
+		}
+	}
+	reg.Gauge(metrics.MMissingRanks,
+		"World slots with no surviving per-rank metrics across results.", -1).Set(float64(missing))
+	reg.Gauge(metrics.MFailedRanks,
+		"Ranks lost to failures across results.", -1).Set(float64(failed))
+	reg.Gauge(metrics.MJobsAborted,
+		"Job attempts that ended aborted.", -1).Set(float64(aborted))
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"ftmrmpi/internal/cluster"
 	"ftmrmpi/internal/introspect"
@@ -46,6 +45,11 @@ const (
 	partitionCPUPerByte = 1e-10   // hash-partitioning emitted pairs
 )
 
+// skipCostFactor is the CPU cost of skipping one already-committed record
+// during recovery, as a fraction of Mapper.Cost: "read the input data and
+// skip the processed records, which is much cheaper than reprocessing".
+const skipCostFactor = 0.05
+
 // Recovery alignment sentinels (see recoverDR): with continuous failures in
 // an iterative application, a revocation can catch ranks straddling two
 // adjacent jobs — some still inside job N's final barrier release, others
@@ -68,7 +72,7 @@ type runner struct {
 	comm *mpi.Comm
 	p    *vtime.Proc
 	m    *RankMetrics
-	rec  *trace.Recorder // nil when every observation plane is disabled
+	rec  *trace.Recorder // the rank's observation handle; updates m's tally
 
 	world0    []int // world ranks participating at job start
 	home      []int // hash slot -> world rank (world0, or the initial acting primaries)
@@ -113,8 +117,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		world0[i] = c.WorldRank(i)
 	}
 	m := newRankMetrics(c.Self().WorldRank())
-	c.Self().Recorder().BindRunner()
-	mirrorRankMetrics(j.clus.Metrics, m, c.Self().WorldRank())
+	c.Self().Recorder().BindRunner(&m.Tally)
 	r := &runner{
 		job:        j,
 		spec:       spec,
@@ -148,7 +151,6 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		loc:     spec.CkptLocation,
 		local:   local,
 		pfs:     clus.PFS,
-		m:       m,
 		rec:     r.rec,
 		agent:   &r.lb,
 	}
@@ -159,7 +161,7 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 	// copier thread is started whenever the model checkpoints at all.
 	if spec.Model.Checkpointing() && r.ck.loc == LocLocalCopier {
 		r.cp = startCopier(clus.Sim, fmt.Sprintf("copier-r%d-%s", c.Self().WorldRank(), spec.JobID),
-			spec.JobID, local, clus.PFS, c.Self().CPU(), m)
+			spec.JobID, local, clus.PFS, c.Self().CPU(), &m.Tally)
 		r.cp.rec = r.rec
 		r.ck.cp = r.cp
 		// The copier is a thread of the rank process: it dies with it, so
@@ -172,7 +174,6 @@ func newRunner(j *jobCtx, c *mpi.Comm) *runner {
 		pfs:      clus.PFS,
 		local:    local,
 		prefetch: spec.Prefetch && local != nil,
-		m:        m,
 		rec:      r.rec,
 		staged:   make(map[string]bool),
 	}
@@ -218,23 +219,6 @@ func (r *runner) scratch() *storage.Tier {
 	return r.job.clus.PFS
 }
 
-// addRecoveryStage adds d to one bucket of the Figure 3 recovery
-// decomposition and emits the matching recovery.stage event, so the counter
-// and the trace are written by one call.
-func addRecoveryStage(m *RankMetrics, rec *trace.Recorder, stage string, d time.Duration) {
-	switch stage {
-	case "init":
-		m.Recovery.Init += d
-	case "load":
-		m.Recovery.LoadCkpt += d
-	case "skip":
-		m.Recovery.Skip += d
-	case "reprocess":
-		m.Recovery.Reprocess += d
-	}
-	rec.RecoveryStage(stage, d)
-}
-
 // run executes phases from the current phase index to completion. On a
 // communication error it returns immediately; the caller decides whether to
 // recover (detect/resume) or give up (checkpoint/restart and MR-MPI mode).
@@ -243,7 +227,7 @@ func (r *runner) run() error {
 		ph := phaseNames[r.phase]
 		r.job.h.notifyPhase(r.myWorld(), ph)
 		t0 := r.p.Now()
-		r.rec.PhaseBegin(string(ph))
+		r.rec.PhaseBegin(ph)
 		var err error
 		switch r.phase {
 		case phInit:
@@ -262,8 +246,7 @@ func (r *runner) run() error {
 		case phReduce:
 			err = r.phaseReduce()
 		}
-		r.m.PhaseTime[ph] += r.p.Now() - t0
-		r.rec.PhaseEnd(string(ph))
+		r.rec.PhaseEnd(ph, r.p.Now()-t0)
 		if err != nil {
 			return err
 		}
@@ -435,7 +418,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 			t1 := r.p.Now()
 			r.compute(float64(restoreBytes) * restoreCPUPerByte)
 			r.m.RecordsRestored += int64(restoredRecs)
-			addRecoveryStage(r.m, r.rec, "load", r.p.Now()-t1)
+			r.rec.RecoveryStage("load", r.p.Now()-t1)
 		}
 		if taskComplete {
 			// Static keeps the paper's behaviour of sampling every completed
@@ -487,13 +470,13 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 		if skipAcc > 0 {
 			t1 := r.p.Now()
 			r.compute(skipAcc)
-			addRecoveryStage(r.m, r.rec, "skip", r.p.Now()-t1)
+			r.rec.RecoveryStage("skip", r.p.Now()-t1)
 			skipAcc = 0
 		}
 		t1 := r.p.Now()
 		r.compute(cpuAcc)
 		if recoveryTask {
-			addRecoveryStage(r.m, r.rec, "reprocess", r.p.Now()-t1)
+			r.rec.RecoveryStage("reprocess", r.p.Now()-t1)
 		}
 		cpuAcc = 0
 		nInBatch = 0
@@ -521,7 +504,7 @@ func (r *runner) runMapTask(id int, mapper Mapper, reader FileRecordReader) erro
 		if rec < restoredRecs {
 			// Already committed before the failure: skip cheaply (§4.1.2:
 			// "read the input data and skip the processed records").
-			skipAcc += mapper.Cost(k, v) * r.spec.SkipCostFactor
+			skipAcc += mapper.Cost(k, v) * skipCostFactor
 			r.m.RecordsSkipped++
 		} else {
 			if err := mapper.Map(ctx, k, v, em); err != nil {
@@ -1047,9 +1030,8 @@ func (r *runner) recoverDR(retry bool) (err error) {
 	r.rec.Revoke("observed")
 	endRecovery := func() {
 		d := r.p.Now() - t0
-		addRecoveryStage(r.m, r.rec, "init", d)
-		r.m.PhaseTime[PhaseRecovery] += d
-		r.rec.RecoveryEnd()
+		r.rec.RecoveryStage("init", d)
+		r.rec.RecoveryEnd(d)
 	}
 	// On an interrupted attempt, close this span when bailing out with an
 	// error: the caller will open a fresh one for the restarted attempt. (A
@@ -1499,7 +1481,7 @@ func (r *runner) restorePartition(part int) error {
 		r.parts[part] = kv
 		t1 := r.p.Now()
 		r.compute(float64(kv.Size()) * restoreCPUPerByte)
-		addRecoveryStage(r.m, r.rec, "load", r.p.Now()-t1)
+		r.rec.RecoveryStage("load", r.p.Now()-t1)
 	}
 	if m != nil {
 		r.kmv[part] = m
@@ -1744,8 +1726,6 @@ func (r *runner) resumePrepare() error {
 		}
 	}
 	r.shuffled = restoredAll
-	d := r.p.Now() - t0
-	r.m.PhaseTime[PhaseRecovery] += d
-	r.rec.RecoveryEnd()
+	r.rec.RecoveryEnd(r.p.Now() - t0)
 	return nil
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"flag"
 	"fmt"
 	"io"
 )
@@ -155,6 +156,30 @@ func DefaultSLO() SLO {
 		MaxRecoveryPFSShare:  -1,
 		MaxIntrospectStalls:  0,
 	}
+}
+
+// SLOFlags registers the nine -slo-* bounds on fs, each defaulting to its
+// DefaultSLO value, and returns the SLO the parsed flags fill in. Every CLI
+// that gates on health takes its bounds from here.
+func SLOFlags(fs *flag.FlagSet) *SLO {
+	s := DefaultSLO()
+	for _, f := range []struct {
+		v          *float64
+		name, help string
+	}{
+		{&s.MaxCkptOverhead, "slo-ckpt-overhead", "max checkpoint overhead fraction"},
+		{&s.MaxRecoverySeconds, "slo-recovery", "max worst-rank recovery seconds"},
+		{&s.MaxShuffleSkew, "slo-shuffle-skew", "max shuffle-byte skew, max/mean"},
+		{&s.MaxCopierShare, "slo-copier-share", "max copier CPU share"},
+		{&s.MaxQuarantines, "slo-quarantines", "max checkpoint quarantines"},
+		{&s.MaxMissingRanks, "slo-missing-ranks", "max missing ranks"},
+		{&s.MaxRecoveryPathShare, "slo-critpath-recovery", "max recovery share of the critical path, 0..1"},
+		{&s.MaxRecoveryPFSShare, "slo-recovery-pfs-share", "max share of recovery reads served by the PFS instead of replicas, 0..1"},
+		{&s.MaxIntrospectStalls, "slo-introspect-stalls", "max introspection stall reports"},
+	} {
+		fs.Float64Var(f.v, f.name, *f.v, f.help+" (negative: report-only)")
+	}
+	return &s
 }
 
 // Indicator is one derived health quantity with its bound and verdict.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"flag"
 	"strings"
 	"testing"
 
@@ -164,5 +165,29 @@ func TestHealthRender(t *testing.T) {
 	Evaluate(r.Snapshot(), slo).Render(&buf)
 	if !strings.Contains(buf.String(), "BREACH") || !strings.Contains(buf.String(), "gate: FAIL") {
 		t.Errorf("breached report missing BREACH/FAIL:\n%s", buf.String())
+	}
+}
+
+// SLOFlags must register one flag per SLO bound, default each to
+// DefaultSLO, and write parsed values through.
+func TestSLOFlagsCoverEveryBound(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	slo := SLOFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if *slo != DefaultSLO() {
+		t.Fatalf("defaults %+v, want DefaultSLO %+v", *slo, DefaultSLO())
+	}
+	var n int
+	fs.VisitAll(func(f *flag.Flag) {
+		n++
+		if err := fs.Set(f.Name, "0.5"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	want := SLO{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
+	if n != 9 || *slo != want {
+		t.Fatalf("%d flags set the SLO to %+v, want 9 flags and %+v", n, *slo, want)
 	}
 }

@@ -69,8 +69,8 @@ func stdSpec(name string, p workloads.WordcountParams) core.Spec {
 
 // finalSnapshot ends a run the way ftmr-sim does: export result-level
 // gauges, then take the terminal snapshot.
-func finalSnapshot(clus *cluster.Cluster, h *core.Handle) metrics.Snapshot {
-	core.ExportResultMetrics(clus.Metrics, h.Results())
+func finalSnapshot(clus *cluster.Cluster, results []*core.Result) metrics.Snapshot {
+	core.ExportResultMetrics(clus.Metrics, results)
 	return clus.Metrics.Snapshot()
 }
 
@@ -154,13 +154,62 @@ func secondsEq(got float64, want time.Duration) bool {
 	return math.Abs(got-want.Seconds()) < 1e-9
 }
 
+// mirroredSums sums, per mirrored family and rank, every Result's
+// RankMetrics accumulator that the registry mirrors: counts exact,
+// durations as durations.
+func mirroredSums(results []*core.Result) (counts map[string]map[int]int64, durs map[string]map[int]time.Duration) {
+	counts, durs = map[string]map[int]int64{}, map[string]map[int]time.Duration{}
+	for _, res := range results {
+		for _, m := range res.Ranks {
+			if m == nil {
+				continue
+			}
+			for family, v := range map[string]int64{
+				"ftmr_records_mapped":   m.RecordsMapped,
+				"ftmr_records_skipped":  m.RecordsSkipped,
+				"ftmr_records_restored": m.RecordsRestored,
+				"ftmr_groups_reduced":   m.GroupsReduced,
+				"ftmr_ckpt_frames":      m.CkptFrames,
+				"ftmr_ckpt_bytes":       m.CkptBytes,
+				metrics.MShuffleBytes:   m.ShuffleBytes,
+				"ftmr_recovered_frames": m.RecoveredFrames,
+				"ftmr_recovered_bytes":  m.RecoveredBytes,
+			} {
+				if counts[family] == nil {
+					counts[family] = map[int]int64{}
+				}
+				counts[family][m.WorldRank] += v
+			}
+			for family, d := range map[string]time.Duration{
+				metrics.MCPUMain:           m.CPUMain,
+				metrics.MCPUCopier:         m.CPUCopier,
+				metrics.MIOWait:            m.IOWait,
+				metrics.MCopierIO:          m.CopierIO,
+				metrics.MNetWait:           m.NetWait,
+				metrics.MRecoveryInit:      m.Recovery.Init,
+				metrics.MRecoveryLoad:      m.Recovery.LoadCkpt,
+				metrics.MRecoverySkip:      m.Recovery.Skip,
+				metrics.MRecoveryReprocess: m.Recovery.Reprocess,
+				metrics.MRecoverySeconds:   m.PhaseTime[core.PhaseRecovery],
+			} {
+				if durs[family] == nil {
+					durs[family] = map[int]time.Duration{}
+				}
+				durs[family][m.WorldRank] += d
+			}
+		}
+	}
+	return counts, durs
+}
+
 // TestAggregatesAgreeWithRankMetricsAndTrace checks every quantity the
-// metrics plane shares with the two older observability surfaces. On a
-// clean (failure-free) wordcount it compares against the RankMetrics
-// accumulators on the Result, which reach the registry through the
-// delta-mirror hooks. Against the trace summarizer — which sees the same
-// Recorder calls as the registry — it checks the clean run and two
-// failover runs.
+// metrics plane shares with the two older observability surfaces. Each
+// mirrored family's registry series must equal, rank by rank, the sum over
+// every Result's RankMetrics: on a clean wordcount, and on a killed
+// checkpoint/restart attempt plus its Resume relaunch on the same cluster,
+// where two runner tallies feed each rank's series. Against the trace
+// summarizer — which sees the same Recorder calls as the registry — it
+// checks the clean run and two failover runs.
 func TestAggregatesAgreeWithRankMetricsAndTrace(t *testing.T) {
 	clus := intCluster()
 	p := stdCorpus()
@@ -171,63 +220,57 @@ func TestAggregatesAgreeWithRankMetricsAndTrace(t *testing.T) {
 	if res == nil || res.Aborted {
 		t.Fatalf("run aborted: %+v", res)
 	}
-	snap := finalSnapshot(clus, h)
+	snap := finalSnapshot(clus, h.Results())
 
 	// Versus RankMetrics: integer counts must be exact, durations within
-	// float tolerance. Per-rank series must match rank by rank, not just in
-	// total.
-	var wantMapped, wantSkipped, wantGroups, wantCkptFrames, wantCkptBytes, wantShuffle int64
-	var wantCPUMain, wantIOWait, wantNetWait, wantCopierCPU, wantCopierIO time.Duration
-	for _, m := range res.Ranks {
-		if m == nil {
-			continue
-		}
-		wantMapped += m.RecordsMapped
-		wantSkipped += m.RecordsSkipped
-		wantGroups += m.GroupsReduced
-		wantCkptFrames += m.CkptFrames
-		wantCkptBytes += m.CkptBytes
-		wantShuffle += m.ShuffleBytes
-		wantCPUMain += m.CPUMain
-		wantIOWait += m.IOWait
-		wantNetWait += m.NetWait
-		wantCopierCPU += m.CPUCopier
-		wantCopierIO += m.CopierIO
-		if v, ok := snap.Series("ftmr_records_mapped", metrics.RankLabel(m.WorldRank)); !ok || v != float64(m.RecordsMapped) {
-			t.Errorf("rank %d records mapped: registry %v, RankMetrics %d", m.WorldRank, v, m.RecordsMapped)
-		}
-		if v, ok := snap.Series(metrics.MShuffleBytes, metrics.RankLabel(m.WorldRank)); !ok || v != float64(m.ShuffleBytes) {
-			t.Errorf("rank %d shuffle bytes: registry %v, RankMetrics %d", m.WorldRank, v, m.ShuffleBytes)
-		}
-	}
+	// float tolerance.
 	for _, tc := range []struct {
-		family string
-		want   int64
+		name string
+		run  func(t *testing.T) (metrics.Snapshot, []*core.Result)
 	}{
-		{"ftmr_records_mapped", wantMapped},
-		{"ftmr_records_skipped", wantSkipped},
-		{"ftmr_groups_reduced", wantGroups},
-		{"ftmr_ckpt_frames", wantCkptFrames},
-		{"ftmr_ckpt_bytes", wantCkptBytes},
-		{metrics.MShuffleBytes, wantShuffle},
+		{"rankmetrics-clean", func(*testing.T) (metrics.Snapshot, []*core.Result) { return snap, h.Results() }},
+		{"rankmetrics-cr-restart", func(t *testing.T) (metrics.Snapshot, []*core.Result) {
+			clus := intCluster()
+			workloads.GenCorpus(clus, "in/agree", p)
+			spec := stdSpec("agree", p)
+			spec.Model = core.ModelCheckpointRestart
+			h := core.RunSingle(clus, spec)
+			failure.KillOnPhase(h, 3, core.PhaseReduce, time.Millisecond)
+			clus.Sim.Run()
+			if res := h.Result(); res == nil || !res.Aborted {
+				t.Fatalf("killed attempt did not abort: %+v", res)
+			}
+			spec.Resume = true
+			h2 := core.RunSingle(clus, spec)
+			clus.Sim.Run()
+			if res := h2.Result(); res == nil || res.Aborted {
+				t.Fatalf("resumed attempt aborted: %+v", res)
+			}
+			results := append(h.Results(), h2.Results()...)
+			return finalSnapshot(clus, results), results
+		}},
 	} {
-		if got := snap.Total(tc.family); got != float64(tc.want) {
-			t.Errorf("%s: registry %v, RankMetrics %d", tc.family, got, tc.want)
-		}
-	}
-	for _, tc := range []struct {
-		family string
-		want   time.Duration
-	}{
-		{metrics.MCPUMain, wantCPUMain},
-		{metrics.MIOWait, wantIOWait},
-		{metrics.MNetWait, wantNetWait},
-		{metrics.MCPUCopier, wantCopierCPU},
-		{metrics.MCopierIO, wantCopierIO},
-	} {
-		if got := snap.Total(tc.family); !secondsEq(got, tc.want) {
-			t.Errorf("%s: registry %v, RankMetrics %v", tc.family, got, tc.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			snap, results := tc.run(t)
+			counts, durs := mirroredSums(results)
+			for family, byRank := range counts {
+				for rank, want := range byRank {
+					if got, ok := snap.Series(family, metrics.RankLabel(rank)); !ok || got != float64(want) {
+						t.Errorf("%s rank %d: registry %v, RankMetrics %d", family, rank, got, want)
+					}
+				}
+			}
+			for family, byRank := range durs {
+				for rank, want := range byRank {
+					if got, ok := snap.Series(family, metrics.RankLabel(rank)); !ok || !secondsEq(got, want) {
+						t.Errorf("%s rank %d: registry %v, RankMetrics %v", family, rank, got, want)
+					}
+				}
+			}
+			if tc.name == "rankmetrics-cr-restart" && counts["ftmr_recovered_frames"][0] == 0 {
+				t.Errorf("resumed attempt replayed no checkpoint frames on rank 0")
+			}
+		})
 	}
 
 	// Versus the trace summarizer, on the quantities both planes observe —
@@ -256,7 +299,7 @@ func TestAggregatesAgreeWithRankMetricsAndTrace(t *testing.T) {
 				if res := h.Result(); res == nil || res.Aborted {
 					t.Fatalf("run aborted: %+v", res)
 				}
-				snap = finalSnapshot(clus, h)
+				snap = finalSnapshot(clus, h.Results())
 			}
 			s := trace.Summarize(clus.Trace.Events())
 			var wantSends, wantSendBytes, wantRecvs, wantRecvBytes, wantCommits int64
@@ -307,7 +350,7 @@ func TestHealthGateOnFailoverRun(t *testing.T) {
 	if res == nil || res.Aborted {
 		t.Fatalf("failover run aborted: %+v", res)
 	}
-	snap := finalSnapshot(clus, h)
+	snap := finalSnapshot(clus, h.Results())
 
 	hl := metrics.Evaluate(snap, metrics.DefaultSLO())
 	if hl.Breached() {

@@ -84,9 +84,8 @@ func New(sim *vtime.Sim) *Registry {
 }
 
 // OnSample registers fn to run (in registration order) immediately before
-// every snapshot. Runners use it to mirror their RankMetrics accumulators —
-// which have many mutation sites — into registry counters by delta, instead
-// of instrumenting each site inline. Nil-safe.
+// every snapshot, to push state kept outside the registry into its series.
+// Nil-safe.
 func (r *Registry) OnSample(fn func()) {
 	if r == nil {
 		return

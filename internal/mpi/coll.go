@@ -30,7 +30,7 @@ func (c *Comm) nextSeq() int {
 // communicator will consume, without consuming it. Trace spans are stamped
 // with (communicator id, seq): every participant of one collective instance
 // consumes the same seq — the tag scheme depends on it — so the pair
-// identifies the instance exactly. Wrapper collectives (Allreduce, Dup, ...)
+// identifies the instance exactly. Wrapper collectives (Allreduce)
 // synchronize in an inner call, so they stamp the peeked seq.
 func (c *Comm) peekSeq() int { return c.st.opSeq[c.rank] }
 
@@ -82,16 +82,6 @@ func (c *Comm) Barrier() error {
 	return nil
 }
 
-// Bcast distributes root's data to every rank and returns it. All ranks
-// must pass the same root; non-root ranks' data argument is ignored.
-func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	seq := c.nextSeq()
-	c.r.rec.CollBeginN("bcast", c.st.id, seq)
-	defer c.r.rec.CollEndN("bcast", c.st.id, seq)
-	out, err := c.bcastTree(seq, root, data)
-	return out, c.raise(err)
-}
-
 // bcastTree runs a binomial-tree broadcast.
 func (c *Comm) bcastTree(seq, root int, data []byte) ([]byte, error) {
 	n := c.Size()
@@ -109,20 +99,6 @@ func (c *Comm) bcastTree(seq, root int, data []byte) ([]byte, error) {
 		}
 	}
 	return data, nil
-}
-
-// Gather collects each rank's data at root. At root, the returned slice is
-// indexed by communicator rank; other ranks get nil.
-func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	seq := c.nextSeq()
-	c.r.rec.CollBeginN("gather", c.st.id, seq)
-	defer c.r.rec.CollEndN("gather", c.st.id, seq)
-	var out [][]byte
-	if c.rank == root {
-		out = make([][]byte, c.Size())
-	}
-	err := c.gatherTree(seq, root, data, out)
-	return out, c.raise(err)
 }
 
 // gatherTree runs a binomial-tree gather: each rank bundles its own payload

@@ -58,7 +58,7 @@ type matchKey struct {
 	tag int
 }
 
-// recvWait is a parked receive (or probe). Fields are written by the
+// recvWait is a parked receive. Fields are written by the
 // matching side (deliver/onFailure/Revoke) and read by the parked process
 // after it wakes.
 type recvWait struct {
@@ -93,16 +93,6 @@ type msgBucket struct {
 
 // push appends a message in arrival order.
 func (b *msgBucket) push(m *Message) { b.items = append(b.items, m) }
-
-// pushFront re-buffers a message at the front (Probe re-delivery).
-func (b *msgBucket) pushFront(m *Message) {
-	if b.head > 0 {
-		b.head--
-		b.items[b.head] = m
-		return
-	}
-	b.items = append([]*Message{m}, b.items...)
-}
 
 // front trims consumed messages and returns the earliest live message, or
 // nil when the bucket is empty.
@@ -210,36 +200,6 @@ func (box *mailbox) pushMsg(m *Message) {
 		box.indexMsg(m)
 	} else if box.msgLive > msgIndexThreshold && !linearMatching {
 		box.buildMsgIndex()
-	}
-}
-
-// pushFrontMsg re-buffers a message at the front of the arrival order
-// (Probe matched it but must leave it for the subsequent Recv).
-func (box *mailbox) pushFrontMsg(m *Message) {
-	m.taken = false
-	if box.head > 0 {
-		box.head--
-		box.msgs[box.head] = m
-	} else {
-		box.msgs = append([]*Message{m}, box.msgs...)
-	}
-	box.msgLive++
-	if box.byKey != nil {
-		k := matchKey{m.Src, m.Tag}
-		kb := box.byKey[k]
-		if kb == nil {
-			kb = &msgBucket{}
-			box.byKey[k] = kb
-		}
-		kb.pushFront(m)
-		if box.byTag != nil {
-			tb := box.byTag[m.Tag]
-			if tb == nil {
-				tb = &msgBucket{}
-				box.byTag[m.Tag] = tb
-			}
-			tb.pushFront(m)
-		}
 	}
 }
 
@@ -354,23 +314,9 @@ func (box *mailbox) matchBuffered(src, tag int) *Message {
 	return nil
 }
 
-// eachMsg calls fn on every live buffered message in arrival order until fn
-// returns false. Messages are not consumed (Probe's scan).
-func (box *mailbox) eachMsg(fn func(*Message) bool) {
-	for i := box.head; i < len(box.msgs); i++ {
-		m := box.msgs[i]
-		if m == nil || m.taken {
-			continue
-		}
-		if !fn(m) {
-			return
-		}
-	}
-}
-
 // --- waiter side ----------------------------------------------------------
 
-// addWaiter posts a parked receive/probe.
+// addWaiter posts a parked receive.
 func (box *mailbox) addWaiter(rw *recvWait) {
 	box.wseq++
 	rw.seq = box.wseq

@@ -103,8 +103,6 @@ type World struct {
 	ranks   []*Rank
 	comms   []*commState
 	aborted bool
-	dups    map[dupKey]*commState
-	splits  map[splitKey]*commState
 	// done counts rank main functions that returned normally.
 	done int
 	// msgID hands out world-unique message ids (flow ids). Deterministic:
@@ -125,13 +123,12 @@ type Rank struct {
 	// injection); zero means unscaled, keeping the hot path branch-cheap.
 	computeScale float64
 	// rec is the rank's observation handle (trace, metrics and
-	// introspection planes); nil when all are disabled, so every hot-path
-	// instrumentation point costs a single nil branch.
+	// introspection planes); plane-less when all are disabled, so every
+	// hot-path instrumentation point costs one branch per plane.
 	rec *trace.Recorder
 }
 
-// Recorder returns the rank's observation handle (nil when the trace,
-// metrics and introspection planes are all off).
+// Recorder returns the rank's observation handle (never nil).
 func (r *Rank) Recorder() *trace.Recorder { return r.rec }
 
 // Proc returns the rank's simulated process.
@@ -184,9 +181,6 @@ type commState struct {
 	acked  []map[int]bool // per comm-rank: acknowledged failed world ranks
 	// errHandler per comm-rank (nil = errors-are-fatal: abort).
 	handlers []func(*Comm, error)
-	// dupEpoch / splitEpoch count Dup/Split calls per comm rank.
-	dupEpoch   []int
-	splitEpoch []int
 	// deadCount is the number of failed ranks in the group. It lets
 	// failedSourceErr answer the common all-failures-acknowledged case in
 	// O(1) instead of scanning the whole group on every AnySource receive.
@@ -236,8 +230,6 @@ func (w *World) newCommState(group []int) *commState {
 	sort.Ints(st.group)
 	st.boxes = make([]*mailbox, len(group))
 	st.opSeq = make([]int, len(group))
-	st.dupEpoch = make([]int, len(group))
-	st.splitEpoch = make([]int, len(group))
 	st.acked = make([]map[int]bool, len(group))
 	st.handlers = make([]func(*Comm, error), len(group))
 	for i := range st.boxes {
@@ -458,10 +450,8 @@ func (c *Comm) send(dest, tag int, data []byte) (uint64, error) {
 	}
 	st.w.msgID++
 	id := st.w.msgID
-	if rec := c.r.rec; rec != nil {
-		rec.SendBegin(dworld, tag, len(data))
-		defer rec.SendEnd(dworld, tag, len(data), id)
-	}
+	c.r.rec.SendBegin(dworld, tag, len(data))
+	defer c.r.rec.SendEnd(dworld, tag, len(data), id)
 	c.r.proc.Sleep(c.transferCost(len(data)))
 	if st.w.aborted {
 		return 0, ErrAborted
@@ -499,9 +489,7 @@ func (c *Comm) sendMirror(dest, tag int, data []byte, flow uint64) error {
 	if !st.w.ranks[dworld].alive {
 		return &ProcFailedError{Ranks: []int{dworld}}
 	}
-	if rec := c.r.rec; rec != nil {
-		defer rec.ShadowMirror(dworld, tag, len(data), flow)
-	}
+	defer c.r.rec.ShadowMirror(dworld, tag, len(data), flow)
 	c.r.proc.Sleep(c.transferCost(len(data)))
 	if st.w.aborted {
 		return ErrAborted
@@ -543,16 +531,11 @@ func (c *Comm) recv(src, tag int) (*Message, error) {
 		return nil, ErrRevoked
 	}
 	rec := c.r.rec
-	srcWorld := AnySource
-	if rec != nil && src != AnySource {
-		srcWorld = st.group[src]
-	}
+	srcWorld := c.worldOf(src)
 	box := st.boxes[c.rank]
 	if m := box.matchBuffered(src, tag); m != nil {
-		if rec != nil {
-			rec.RecvBegin(srcWorld, tag)
-			rec.RecvEnd(srcWorld, tag, len(m.Data), m.id)
-		}
+		rec.RecvBegin(srcWorld, tag)
+		rec.RecvEnd(srcWorld, tag, len(m.Data), m.id)
 		return m, nil
 	}
 	if err := c.failedSourceErr(src); err != nil {
@@ -585,17 +568,21 @@ func (c *Comm) TryRecv(src, tag int) (*Message, bool, error) {
 		return nil, false, c.raise(ErrRevoked)
 	}
 	if m := st.boxes[c.rank].matchBuffered(src, tag); m != nil {
-		if rec := c.r.rec; rec != nil {
-			srcWorld := AnySource
-			if src != AnySource {
-				srcWorld = st.group[src]
-			}
-			rec.RecvBegin(srcWorld, tag)
-			rec.RecvEnd(srcWorld, tag, len(m.Data), m.id)
-		}
+		srcWorld := c.worldOf(src)
+		c.r.rec.RecvBegin(srcWorld, tag)
+		c.r.rec.RecvEnd(srcWorld, tag, len(m.Data), m.id)
 		return m, true, nil
 	}
 	return nil, false, nil
+}
+
+// worldOf maps a receive's source (a comm rank, or AnySource) to the world
+// rank its events name.
+func (c *Comm) worldOf(src int) int {
+	if src == AnySource {
+		return AnySource
+	}
+	return c.st.group[src]
 }
 
 // failedSourceErr returns the error a receive posted now must raise, if any.
@@ -626,36 +613,3 @@ func (c *Comm) failedSourceErr(src int) error {
 	}
 	return nil
 }
-
-// Dup creates a duplicate communicator with the same group. Collective: all
-// live ranks must call it. The duplicate shares no message state, so library
-// traffic (e.g. the distributed masters' status exchange) cannot interfere
-// with application traffic.
-func (c *Comm) Dup() (*Comm, error) {
-	// Implemented as: the first arriving rank allocates the state, later
-	// ranks find it by (parent communicator, per-rank duplication epoch) —
-	// every rank performs the same sequence of Dup calls on a communicator,
-	// so the epochs agree. A barrier provides the synchronization point.
-	seq := c.peekSeq()
-	c.r.rec.CollBeginN("dup", c.st.id, seq)
-	defer c.r.rec.CollEndN("dup", c.st.id, seq)
-	if err := c.Barrier(); err != nil {
-		return nil, err
-	}
-	st := c.st
-	key := dupKey{parent: st.id, epoch: st.dupEpoch[c.rank]}
-	st.dupEpoch[c.rank]++
-	w := st.w
-	if w.dups == nil {
-		w.dups = make(map[dupKey]*commState)
-	}
-	dup, ok := w.dups[key]
-	if !ok {
-		dup = w.newCommState(st.group)
-		w.dups[key] = dup
-	}
-	return &Comm{st: dup, rank: c.rank, r: c.r}, nil
-}
-
-// dupKey identifies one collective Dup call on a parent communicator.
-type dupKey struct{ parent, epoch int }

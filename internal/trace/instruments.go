@@ -20,6 +20,8 @@ const (
 // series. The fields of each scope stay nil until that scope is bound
 // (BindMPI, BindRunner, BindReplication), and nil instruments no-op, so a
 // snapshot only ever holds the series of the layers that ran on the rank.
+// BindRunner also binds the series each runner's Tally is mirrored into
+// (tally.go).
 type instruments struct {
 	reg  *metrics.Registry
 	rank int
@@ -74,10 +76,15 @@ func (r *Recorder) BindMPI() {
 	m.agrees = reg.Counter("ftmr_mpi_agrees", "ULFM Agree calls.", rank)
 }
 
-// BindRunner binds the job runner's series (called when a runner starts on
-// the rank). No-op without a registry.
-func (r *Recorder) BindRunner() {
-	if r == nil || r.m == nil {
+// BindRunner makes t the tally this Recorder's calls update and, with a
+// registry attached, binds the job runner's series, t's mirrored ones among
+// them (called when a runner starts on the rank, with its fresh tally).
+func (r *Recorder) BindRunner(t *Tally) {
+	if r == nil {
+		return
+	}
+	r.tally = t
+	if r.m == nil {
 		return
 	}
 	m, reg, rank := r.m, r.m.reg, r.rank
@@ -110,6 +117,7 @@ func (r *Recorder) BindRunner() {
 		"RMS residual of the latest load-balance fit over its observations.", rank)
 	m.lbObs = reg.Gauge("ftmr_lb_fit_observations",
 		"Observation count behind the latest load-balance fit.", rank)
+	m.mirrorTally(t)
 }
 
 // BindReplication binds the replication execution model's ftmr_ftmodel_*
@@ -174,10 +182,17 @@ func (r *Recorder) RecoveryAttempt() {
 	}
 }
 
-// AddCounter adds delta to the rank's user_<name> counter (TaskContext
-// .AddCounter), binding and caching the series on first use.
+// AddCounter tallies delta into the user counter name (TaskContext
+// .AddCounter) and adds it to the rank's user_<name> series, binding and
+// caching the series on first use.
 func (r *Recorder) AddCounter(name string, delta int64) {
-	m := r.mets()
+	if r == nil {
+		return
+	}
+	if t := r.tally; t != nil {
+		t.Counters[name] += delta
+	}
+	m := r.m
 	if m == nil {
 		return
 	}

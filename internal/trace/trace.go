@@ -22,19 +22,20 @@
 // field-by-field contract, pinned by the golden fixtures in testdata/.
 //
 // The Recorder is also each rank's one observation handle: every
-// instrumented fact is one Recorder call, which feeds whichever planes are
-// attached — this package's event ring, the rank's metrics registry series
-// and its introspection probe. Observation is strictly opt-in and nil-safe:
-// every Recorder method is a no-op on a nil receiver, a nil *Tracer hands out
-// nil Recorders, and a rank's Recorder is nil only when all three planes are
-// off, so the disabled hot path costs exactly one pointer-nil branch
-// (verified by BenchmarkTracerOverhead*).
+// instrumented fact is one Recorder call, which updates the runner's Tally
+// and feeds whichever planes are attached — this package's event ring, the
+// rank's metrics registry series and its introspection probe. Each plane is
+// strictly opt-in: with all three off the cluster hands out a plane-less
+// Recorder, whose calls cost a few predictable branches plus the tally adds
+// (verified by BenchmarkTracerOverhead*). Every Recorder method is also a
+// no-op on a nil receiver, and a nil *Tracer hands out nil Recorders.
 package trace
 
 import (
 	"time"
 
 	"ftmrmpi/internal/introspect"
+	"ftmrmpi/internal/jsonl"
 	"ftmrmpi/internal/vtime"
 )
 
@@ -245,7 +246,7 @@ type Tracer struct {
 	cap    int
 	seq    uint64
 	rec    map[int]*Recorder
-	stream *streamSink // non-nil when StreamJSONL is active (write-through)
+	stream *jsonl.Writer // non-nil when StreamJSONL is active (write-through)
 }
 
 // New creates a tracer stamping events with sim's virtual clock. capPerRank
@@ -329,10 +330,10 @@ func (t *Tracer) Dropped(rank int) uint64 {
 }
 
 // Recorder is one rank's observation handle. Each method records one fact
-// into every attached plane: the ring-buffered event log (when traced), the
-// rank's registry series (Attach, then the Bind* scopes) and its
-// introspection probe. All methods are no-ops on a nil receiver: call sites
-// pay a single branch when every plane is off.
+// into the bound runner's Tally (BindRunner) and into every attached plane:
+// the ring-buffered event log (when traced), the rank's registry series
+// (Attach, then the Bind* scopes) and its introspection probe. All methods
+// are no-ops on a nil receiver.
 type Recorder struct {
 	t     *Tracer // nil when untraced: no ring, no sequence numbers, no clock reads
 	rank  int
@@ -340,25 +341,33 @@ type Recorder struct {
 	next  int    // overwrite cursor once the ring is full
 	total uint64 // events ever recorded
 
+	tally *Tally                // the current runner's accounting; nil until BindRunner
 	m     *instruments          // nil when metrics are off
 	probe *introspect.RankProbe // nil when introspection is off
 }
 
-// emit appends one event, overwriting the oldest once the ring is full.
+// emit records one event when the Recorder is traced. It inlines, so an
+// untraced call site pays its two branches and no call.
 func (r *Recorder) emit(kind Kind, name string, a, b, c int64) {
-	r.emitFlow(kind, name, a, b, c, 0)
+	if r != nil && r.t != nil {
+		r.record(kind, name, a, b, c, 0)
+	}
 }
 
 // emitFlow is emit with a message flow id attached (p2p completion events).
 func (r *Recorder) emitFlow(kind Kind, name string, a, b, c int64, flow uint64) {
-	if r == nil || r.t == nil {
-		return
+	if r != nil && r.t != nil {
+		r.record(kind, name, a, b, c, flow)
 	}
+}
+
+// record appends one event, overwriting the oldest once the ring is full.
+func (r *Recorder) record(kind Kind, name string, a, b, c int64, flow uint64) {
 	t := r.t
 	t.seq++
 	ev := Event{Seq: t.seq, VT: t.sim.Now(), Rank: r.rank, Kind: kind, Name: name, A: a, B: b, C: c, Flow: flow}
 	if t.stream != nil {
-		t.stream.write(ev)
+		t.stream.Write(toJSONL(ev))
 	}
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, ev)
@@ -394,16 +403,24 @@ func (r *Recorder) dropped() uint64 {
 
 // PhaseBegin / PhaseEnd bracket one execution of a runner phase. PhaseBegin
 // also sets the probe's phase annotation.
-func (r *Recorder) PhaseBegin(name string) {
+func (r *Recorder) PhaseBegin(ph Phase) {
 	if r == nil {
 		return
 	}
-	r.emit(KindPhaseBegin, name, 0, 0, 0)
-	r.probe.SetPhase(name)
+	r.emit(KindPhaseBegin, string(ph), 0, 0, 0)
+	r.probe.SetPhase(string(ph))
 }
 
-// PhaseEnd closes the span opened by PhaseBegin.
-func (r *Recorder) PhaseEnd(name string) { r.emit(KindPhaseEnd, name, 0, 0, 0) }
+// PhaseEnd closes the span opened by PhaseBegin, tallying the d it took.
+func (r *Recorder) PhaseEnd(ph Phase, d time.Duration) {
+	if r == nil {
+		return
+	}
+	if t := r.tally; t != nil {
+		t.PhaseTime[ph] += d
+	}
+	r.emit(KindPhaseEnd, string(ph), 0, 0, 0)
+}
 
 // SendBegin / SendEnd bracket a point-to-point send to peer (world rank).
 // SendBegin counts the send initiated.
@@ -440,6 +457,13 @@ func (r *Recorder) RecvEnd(peer, tag, bytes int, msg uint64) {
 
 // CkptCommit marks checkpoint frames becoming durable at the writer.
 func (r *Recorder) CkptCommit(stream string, bytes, frames int) {
+	if r == nil {
+		return
+	}
+	if t := r.tally; t != nil {
+		t.CkptFrames += int64(frames)
+		t.CkptBytes += int64(bytes)
+	}
 	r.emit(KindCkptCommit, stream, int64(bytes), int64(frames), 0)
 }
 
@@ -462,13 +486,27 @@ func (r *Recorder) CopierEnd(stream string, bytes int) {
 
 // CkptLoad marks the recovery reader replaying a stream.
 func (r *Recorder) CkptLoad(stream string, bytes, frames int) {
+	if r == nil {
+		return
+	}
+	if t := r.tally; t != nil {
+		t.RecoveredBytes += int64(bytes)
+		t.RecoveredFrames += int64(frames)
+	}
 	r.emit(KindCkptLoad, stream, int64(bytes), int64(frames), 0)
 }
 
 // CkptCorrupt marks a corrupted or torn checkpoint stream being quarantined:
-// valid bytes were kept, total-valid bytes were truncated away.
+// valid bytes were kept, total-valid bytes were truncated away. It tallies
+// the runner's internal ckpt_corrupt counter, which has no user_ series.
 func (r *Recorder) CkptCorrupt(stream string, valid, total int) {
-	if m := r.mets(); m != nil {
+	if r == nil {
+		return
+	}
+	if t := r.tally; t != nil {
+		t.Counters["ckpt_corrupt"]++
+	}
+	if m := r.m; m != nil {
 		m.quarantines.Inc()
 	}
 	r.emit(KindCkptCorrupt, stream, int64(valid), int64(total), 0)
@@ -567,8 +605,17 @@ func (r *Recorder) TaskCommit(what string, id int, count int64) {
 // RecoveryBegin / RecoveryEnd bracket one recovery episode.
 func (r *Recorder) RecoveryBegin() { r.emit(KindRecoveryBegin, "", 0, 0, 0) }
 
-// RecoveryEnd closes the recovery span.
-func (r *Recorder) RecoveryEnd() { r.emit(KindRecoveryEnd, "", 0, 0, 0) }
+// RecoveryEnd closes the recovery span, tallying the d it took as recovery
+// phase time.
+func (r *Recorder) RecoveryEnd(d time.Duration) {
+	if r == nil {
+		return
+	}
+	if t := r.tally; t != nil {
+		t.PhaseTime[PhaseRecovery] += d
+	}
+	r.emit(KindRecoveryEnd, "", 0, 0, 0)
+}
 
 // JobBegin anchors the start of a job's execution on this rank.
 func (r *Recorder) JobBegin(jobID string) { r.emit(KindJobBegin, jobID, 0, 0, 0) }
@@ -584,10 +631,23 @@ func (r *Recorder) JobEnd(jobID string, aborted bool) {
 }
 
 // RecoveryStage attributes d of recovery time to one Figure 3 bucket
-// (stage = "init", "load", "skip" or "reprocess"). Zero charges are elided.
+// (stage = "init", "load", "skip" or "reprocess"), tallying it into the
+// matching Recovery field. Zero charges are elided.
 func (r *Recorder) RecoveryStage(stage string, d time.Duration) {
 	if r == nil || d <= 0 {
 		return
+	}
+	if t := r.tally; t != nil {
+		switch stage {
+		case "init":
+			t.Recovery.Init += d
+		case "load":
+			t.Recovery.LoadCkpt += d
+		case "skip":
+			t.Recovery.Skip += d
+		case "reprocess":
+			t.Recovery.Reprocess += d
+		}
 	}
 	r.emit(KindRecoveryStage, stage, int64(d), 0, 0)
 }
@@ -637,11 +697,14 @@ func (r *Recorder) Failover(slot, shadow int) {
 }
 
 // CkptStall attributes d of main-thread blocking to checkpoint I/O
-// (what = "write" or "drain"), accruing it to the matching wait counter.
-// Zero charges emit no event.
+// (what = "write" or "drain"), tallying it as IOWait and accruing it to the
+// matching wait counter. Zero charges emit no event.
 func (r *Recorder) CkptStall(what string, d time.Duration) {
 	if r == nil || d <= 0 {
 		return
+	}
+	if t := r.tally; t != nil {
+		t.IOWait += d
 	}
 	if m := r.m; m != nil {
 		if what == "write" {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ func TestNilTracerAndRecorderAreNoOps(t *testing.T) {
 	}
 	// Every helper must be callable on the nil recorder.
 	rec.PhaseBegin("map")
-	rec.PhaseEnd("map")
+	rec.PhaseEnd("map", 0)
 	rec.SendBegin(1, 2, 3)
 	rec.SendEnd(1, 2, 3, 7)
 	rec.RecvBegin(-1, 2)
@@ -55,9 +56,9 @@ func TestNilTracerAndRecorderAreNoOps(t *testing.T) {
 	rec.TaskSeconds("map", time.Millisecond)
 	rec.RecoveryAttempt()
 	rec.RecoveryBegin()
-	rec.RecoveryEnd()
+	rec.RecoveryEnd(0)
 	rec.BindMPI()
-	rec.BindRunner()
+	rec.BindRunner(&Tally{})
 	rec.BindReplication()
 	rec.AddCounter("iters", 1)
 	rec.MirrorBundle(64)
@@ -104,7 +105,7 @@ func TestEventsMergeInCausalOrder(t *testing.T) {
 	// Interleave emissions across ranks; Seq must order the merged stream.
 	tr.Rank(2).PhaseBegin("map")
 	tr.Rank(0).PhaseBegin("map")
-	tr.Rank(2).PhaseEnd("map")
+	tr.Rank(2).PhaseEnd("map", 0)
 	tr.Rank(1).PhaseBegin("map")
 	evs := tr.Events()
 	if len(evs) != 4 {
@@ -130,7 +131,7 @@ func TestEventVirtualTimestamps(t *testing.T) {
 	rec.PhaseBegin("map")
 	sim.Spawn("p", func(p *vtime.Proc) {
 		p.Sleep(5 * time.Millisecond)
-		rec.PhaseEnd("map")
+		rec.PhaseEnd("map", 0)
 	})
 	sim.Run()
 	evs := tr.EventsFor(0)
@@ -214,9 +215,9 @@ func TestWriteChromeShape(t *testing.T) {
 	rec.PhaseBegin("map")
 	rec.CollBeginN("barrier", 0, 0)
 	rec.CollEndN("barrier", 0, 0)
-	rec.PhaseEnd("map")
+	rec.PhaseEnd("map", 0)
 	rec.RecoveryBegin()
-	rec.RecoveryEnd()
+	rec.RecoveryEnd(0)
 	rec.CopierDrain("map/t0", 128)
 	tr.Global().FailureInject(3)
 
@@ -262,10 +263,10 @@ func TestSummarizeBasics(t *testing.T) {
 	sim.Spawn("p", func(p *vtime.Proc) {
 		rec.PhaseBegin("map")
 		p.Sleep(10 * time.Millisecond)
-		rec.PhaseEnd("map")
+		rec.PhaseEnd("map", 0)
 		rec.RecoveryBegin()
 		p.Sleep(3 * time.Millisecond)
-		rec.RecoveryEnd()
+		rec.RecoveryEnd(0)
 		// Nested collectives: only the top-level span counts.
 		rec.CollBeginN("allreduce", 0, 0)
 		rec.CollBeginN("allgather", 0, 0)
@@ -312,10 +313,11 @@ func TestSummarizeBasics(t *testing.T) {
 
 // TestTracerOverheadGate is the regression gate behind `make bench-overhead`
 // (part of `make check`): it re-measures the two overhead benchmarks with
-// testing.Benchmark and fails the build if the disabled (nil-recorder) path
-// ever allocates or stops being decisively cheaper than the live path — the
-// disabled call must stay at one-branch cost, so anything within 2x of a
-// real ring write means someone put work ahead of the nil check. Gated by
+// testing.Benchmark and fails the build if the disabled (plane-less) path
+// ever allocates or stops being decisively cheaper than the live path — a
+// disabled call must stay at its tally add plus one branch per plane, so
+// anything within 2x of a real ring write means someone put work ahead of
+// the plane checks. Gated by
 // FTMR_OVERHEAD_GATE so wall-clock-sensitive timing never flakes the plain
 // `go test ./...` tier-1 run.
 func TestTracerOverheadGate(t *testing.T) {
@@ -341,11 +343,18 @@ func TestTracerOverheadGate(t *testing.T) {
 // stamped collectives, the critical-path attributions (recovery stages,
 // checkpoint stalls), the recovery-source attribution, the replication
 // model's events and counters (mirror, sync, failover, dup drop), recovery
-// attempts, the task commit and latency histogram, and the probe
-// annotations (phase, task, drain) — so every fact a Recorder folds stays
-// inside the same gate.
+// attempts, the task commit and latency histogram, the tallied facts (phase
+// and recovery time, checkpoint commits and loads, user counters) and the
+// probe annotations (phase, task, drain) — so every fact a Recorder folds
+// stays inside the same gate.
 func overheadMix(rec *Recorder, i int) {
 	rec.PhaseBegin("map")
+	rec.PhaseEnd("map", time.Millisecond)
+	rec.RecoveryBegin()
+	rec.RecoveryEnd(time.Millisecond)
+	rec.CkptCommit("map/t0", 64, 1)
+	rec.CkptLoad("map/t0", 64, 1)
+	rec.AddCounter("iters", 1)
 	rec.SetTask(i)
 	rec.SendBegin(1, 2, 64)
 	rec.SendEnd(1, 2, 64, 1)
@@ -368,11 +377,12 @@ func overheadMix(rec *Recorder, i int) {
 	rec.ExitDrain()
 }
 
-// BenchmarkTracerOverheadDisabled measures the disabled hot path: a nil
-// recorder call must cost a single branch (plus call overhead when not
-// inlined). Compare with BenchmarkTracerOverheadEnabled.
+// BenchmarkTracerOverheadDisabled measures the disabled hot path: the
+// plane-less Recorder the cluster hands out when every plane is off, bound
+// to a runner's tally. Compare with BenchmarkTracerOverheadEnabled.
 func BenchmarkTracerOverheadDisabled(b *testing.B) {
-	var rec *Recorder
+	rec := NewRecorder(0)
+	rec.BindRunner(newBenchTally())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		overheadMix(rec, i)
@@ -387,11 +397,55 @@ func BenchmarkTracerOverheadEnabled(b *testing.B) {
 	rec := tr.Rank(0)
 	rec.Attach(metrics.New(sim), introspect.New(sim, time.Millisecond).RankProbe(0))
 	rec.BindMPI()
-	rec.BindRunner()
+	rec.BindRunner(newBenchTally())
 	rec.BindReplication()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		overheadMix(rec, i)
+	}
+}
+
+func newBenchTally() *Tally {
+	return &Tally{PhaseTime: map[Phase]time.Duration{}, Counters: map[string]int64{}}
+}
+
+// Each tallied fact lands in the bound tally once, with or without planes,
+// and an unbound Recorder tallies nothing.
+func TestRecorderTalliesFacts(t *testing.T) {
+	NewRecorder(0).CkptCommit("map/t0", 10, 1) // no tally bound: no-op
+	for _, planes := range []bool{false, true} {
+		rec := NewRecorder(0)
+		if planes {
+			sim := vtime.NewSim()
+			rec.Attach(metrics.New(sim), introspect.New(sim, time.Millisecond).RankProbe(0))
+		}
+		tl := newBenchTally()
+		rec.BindRunner(tl)
+		rec.PhaseEnd(PhaseMap, 2*time.Millisecond)
+		rec.RecoveryEnd(3 * time.Millisecond)
+		rec.RecoveryStage("init", time.Millisecond)
+		rec.RecoveryStage("load", 2*time.Millisecond)
+		rec.RecoveryStage("skip", 3*time.Millisecond)
+		rec.RecoveryStage("reprocess", 4*time.Millisecond)
+		rec.CkptCommit("map/t0", 100, 2)
+		rec.CkptLoad("map/t0", 50, 1)
+		rec.CkptStall("write", time.Millisecond)
+		rec.CkptStall("drain", 2*time.Millisecond)
+		rec.CkptCorrupt("map/t0", 5, 9)
+		rec.AddCounter("iters", 4)
+		want := Tally{
+			IOWait:          3 * time.Millisecond,
+			PhaseTime:       map[Phase]time.Duration{PhaseMap: 2 * time.Millisecond, PhaseRecovery: 3 * time.Millisecond},
+			Recovery:        RecoveryBreakdown{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, 4 * time.Millisecond},
+			Counters:        map[string]int64{"ckpt_corrupt": 1, "iters": 4},
+			CkptFrames:      2,
+			CkptBytes:       100,
+			RecoveredFrames: 1,
+			RecoveredBytes:  50,
+		}
+		if !reflect.DeepEqual(*tl, want) {
+			t.Errorf("planes=%v: tally %+v, want %+v", planes, *tl, want)
+		}
 	}
 }
